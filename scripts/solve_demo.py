@@ -8,7 +8,7 @@ cross-checks complexity and connection polynomial against the gcd oracle.
 from pathlib import Path
 
 from lincomp.cli import parse_sequence_file, render_element, render_poly
-from lincomp.reduction import solve_auto_report
+from lincomp.reduction import solve
 from lincomp.sequence import oracle_lincomp, verify_recurrence
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "gf7_n21.seq"
@@ -16,7 +16,7 @@ DATA = Path(__file__).resolve().parent.parent / "data" / "gf7_n21.seq"
 
 def main() -> None:
     s = parse_sequence_file(DATA)
-    report = solve_auto_report(s)
+    report = solve(s)
     result = report.result
     print(f"period {len(s)} over {s.spec!r}")
     print(f"algorithm: {result.algorithm}")
@@ -26,7 +26,7 @@ def main() -> None:
             digits = "".join(str(e.coeffs[0]) for e in comp.sequence.period)
             print(
                 f"  component {j}: {digits}  (b={render_element(b)}) -> "
-                f"c={comp.result.complexity}, m_j={render_poly(comp.result.min_poly)}"
+                f"c={comp.complexity}, m_j={render_poly(comp.min_poly)}"
             )
     print(f"complexity: {result.complexity}")
     print(f"min_poly: {render_poly(result.min_poly)}")

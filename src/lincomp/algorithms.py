@@ -15,16 +15,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .field import FieldElement, FieldSpec
-from .opcount import OpCounter, tally
-from .poly import Poly, poly_pow
+from .opcount import tally
+from .poly import Poly
 from .sequence import LinCompResult, PeriodicSequence
 
 
 class EmptyPrefixError(ValueError):
-    pass
-
-
-class WrongCharacteristicError(ValueError):
     pass
 
 
@@ -54,14 +50,13 @@ def berlekamp_massey(prefix: Sequence[FieldElement], spec: FieldSpec) -> LinComp
     first = items[0]
     if first.spec is not spec and first.spec != spec:
         raise ValueError("prefix elements must belong to the given field")
-    with OpCounter() as ctr:
-        if spec.m == 1:
-            residues = np.array([e.coeffs[0] for e in items], dtype=np.int64)
-            length, ints = _bm_prime(residues, spec.p)
-            coeffs = [spec.scalar(v) for v in ints]
-        else:
-            length, coeffs = _bm_generic(items, spec)
-    return LinCompResult(length, Poly(spec, coeffs), "bm", ctr.total)
+    if spec.m == 1:
+        residues = np.array([e.coeffs[0] for e in items], dtype=np.int64)
+        length, ints = _bm_prime(residues, spec.p)
+        coeffs = [spec.scalar(v) for v in ints]
+    else:
+        length, coeffs = _bm_generic(items, spec)
+    return LinCompResult(length, Poly(spec, coeffs), "bm")
 
 
 def _bm_generic(s: list[FieldElement], spec: FieldSpec) -> tuple[int, list[FieldElement]]:
@@ -177,7 +172,7 @@ def _exact_log(n: int, p: int) -> int | None:
 
 
 def ggc_fold(
-    values: Sequence[FieldElement], spec: FieldSpec, p: int | None = None
+    values: Sequence[FieldElement], spec: FieldSpec
 ) -> list[tuple[FieldElement, ...]]:
     """One contraction level of a p^h tuple.
 
@@ -187,12 +182,7 @@ def ggc_fold(
     Note b^(p-1) = s^(0), and for p = 2 this is the classic pair
     (left + right, left).
     """
-    if p is None:
-        p = spec.p
-    elif p != spec.p:
-        raise WrongCharacteristicError(
-            f"fold arity {p} must equal the field characteristic {spec.p}"
-        )
+    p = spec.p
     n = len(values)
     h = _exact_log(n, p)
     if h is None or h < 1:
@@ -281,29 +271,3 @@ def ggc_complexity(s: PeriodicSequence) -> int:
     if state.level == 0 and not state.values[0].is_zero():
         c += 1
     return c
-
-
-def ggc_phases(s: PeriodicSequence) -> tuple[LinCompResult, int, int]:
-    """Run the contraction and build its connection polynomial (1-x)^c.
-
-    Returns (result, contraction_ops, polynomial_ops); the polynomial
-    reconstruction is reporting work on top of the complexity computation,
-    so the two are tracked separately.
-    """
-    spec = s.spec
-    with OpCounter() as solve_ctr:
-        c = ggc_complexity(s)
-    with OpCounter() as poly_ctr:
-        base = Poly(spec, [spec.one(), spec.scalar(-1)])
-        mp = poly_pow(base, c)
-    result = LinCompResult(c, mp, "ggc", solve_ctr.total + poly_ctr.total)
-    return result, solve_ctr.total, poly_ctr.total
-
-
-def ggc_lincomp(s: PeriodicSequence) -> LinCompResult:
-    """Complexity and connection polynomial for a period-p^h sequence.
-
-    The polynomial is (1-x)^c, valid because 1 - x^(p^h) = (1-x)^(p^h) in
-    characteristic p; it always matches the gcd oracle.
-    """
-    return ggc_phases(s)[0]

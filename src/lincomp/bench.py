@@ -7,9 +7,9 @@ decompose within 3(u-1)N, each contraction within 2 p^2 N', and their sum
 within (3(u-1) + 2p^2) N. Violations are flagged per row, never silently
 dropped.
 
-Bench rows measure complexity determination only (no connection-polynomial
-reconstruction), which is what the linear budgets cover; the solve path of
-the CLI always builds the polynomial.
+Bench rows come from the same solve() as the CLI, run with min_poly=False:
+they measure complexity determination only (no connection-polynomial
+reconstruction), which is what the linear budgets cover.
 """
 
 from __future__ import annotations
@@ -19,13 +19,9 @@ import time
 from dataclasses import dataclass
 from statistics import mean
 
-from .algorithms import _exact_log, berlekamp_massey, ggc_complexity
 from .field import FieldSpec, make_field
-from .opcount import OpCounter
-from .reduction import Inapplicable, decompose, plan_reduction
-from .sequence import PeriodicSequence, oracle_lincomp
-
-KNOWN_ALGORITHMS = ("auto", "bm", "ggc", "oracle")
+from .reduction import ALGORITHMS, AlgorithmInapplicableError, SolveReport, solve
+from .sequence import PeriodicSequence
 
 
 class BadConfigError(ValueError):
@@ -51,11 +47,12 @@ def bench_config_from_dict(data: dict) -> BenchConfig:
         fld = data["field"]
         p = int(fld["p"])
         m = int(fld.get("m", 1))
+        modulus = fld.get("mod")
+        if modulus is not None:
+            modulus = tuple(int(c) for c in modulus)
+        make_field(p, m, modulus)
     except (KeyError, TypeError, ValueError) as exc:
-        raise BadConfigError(f"bad or missing field spec: {exc}") from exc
-    modulus = fld.get("mod")
-    if modulus is not None:
-        modulus = tuple(int(c) for c in modulus)
+        raise BadConfigError(f"bad or missing 'field': {exc}") from exc
     if "periods" in data:
         try:
             periods = tuple(int(n) for n in data["periods"])
@@ -77,17 +74,26 @@ def bench_config_from_dict(data: dict) -> BenchConfig:
         raise BadConfigError("config needs either 'periods' or 'family'")
     if not periods or any(n < 1 for n in periods):
         raise BadConfigError("periods must be positive")
-    trials = int(data.get("trials", 1))
+    trials = _config_int(data, "trials", 1)
     if trials < 1:
         raise BadConfigError("trials must be >= 1")
-    seed = int(data.get("seed", 0))
-    algorithms = tuple(data.get("algorithms", ["auto"]))
+    seed = _config_int(data, "seed", 0)
+    algorithms = data.get("algorithms", ["auto"])
+    if not isinstance(algorithms, list):
+        raise BadConfigError("'algorithms' must be a list of algorithm names")
     if not algorithms:
         raise BadConfigError("algorithms must be nonempty")
     for alg in algorithms:
-        if alg not in KNOWN_ALGORITHMS:
-            raise BadConfigError(f"unknown algorithm {alg!r}")
-    return BenchConfig(p, m, modulus, periods, trials, seed, algorithms)
+        if alg not in ALGORITHMS:
+            raise BadConfigError(f"unknown algorithm {alg!r} in 'algorithms'")
+    return BenchConfig(p, m, modulus, periods, trials, seed, tuple(algorithms))
+
+
+def _config_int(data: dict, key: str, default: int) -> int:
+    try:
+        return int(data.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise BadConfigError(f"bad {key!r}: {exc}") from exc
 
 
 def random_sequence(spec: FieldSpec, n: int, rng: random.Random) -> PeriodicSequence:
@@ -106,109 +112,26 @@ def _rng_for(seed: int, spec: FieldSpec, n: int, trial: int) -> random.Random:
     return random.Random(f"{seed}/{spec.p}^{spec.m}/{n}/{trial}")
 
 
-def _measure_auto(s: PeriodicSequence) -> dict:
-    """Complexity via the auto strategy, counting phases but skipping the
-    connection-polynomial reconstruction."""
-    spec = s.spec
-    n_total = len(s)
-    plan = plan_reduction(spec, n_total)
-    flags: list[str] = []
-    if isinstance(plan, Inapplicable):
-        if _exact_log(n_total, spec.p) is not None:
-            with OpCounter() as ctr:
-                c = ggc_complexity(s)
-            bound = 2 * spec.p ** 2 * n_total
-            if ctr.total > bound:
-                flags.append("ggc_bound_exceeded")
-            return {
-                "strategy": "ggc",
-                "complexity": c,
-                "ops": {
-                    "reduction": 0,
-                    "components": ctr.total,
-                    "component_list": [ctr.total],
-                    "total": ctr.total,
-                },
-                "flags": flags,
-            }
-        with OpCounter() as ctr:
-            res = berlekamp_massey(list(s.period) * 2, spec)
-        return {
-            "strategy": "bm",
-            "complexity": res.complexity,
-            "ops": {
-                "reduction": 0,
-                "components": ctr.total,
-                "component_list": [ctr.total],
-                "total": ctr.total,
-            },
-            "flags": flags,
-        }
-    with OpCounter() as red:
-        parts = decompose(s, plan)
-    if red.total > 3 * (plan.u - 1) * n_total:
-        flags.append("decompose_bound_exceeded")
-    comp_ops = []
-    all_ggc = True
-    c = 0
-    for part in parts:
-        if _exact_log(len(part), spec.p) is not None:
-            with OpCounter() as ctr:
-                c += ggc_complexity(part)
-            if ctr.total > 2 * spec.p ** 2 * len(part):
-                flags.append("ggc_bound_exceeded")
-        else:
-            all_ggc = False
-            with OpCounter() as ctr:
-                c += berlekamp_massey(list(part.period) * 2, spec).complexity
-        comp_ops.append(ctr.total)
-    total = red.total + sum(comp_ops)
-    if all_ggc and total > (3 * (plan.u - 1) + 2 * spec.p ** 2) * n_total:
-        flags.append("reduction_ggc_bound_exceeded")
-    return {
-        "strategy": "reduction+ggc" if all_ggc else "reduction+bm",
-        "complexity": c,
-        "u": plan.u,
-        "n": plan.n,
+def _bench_row(report: SolveReport) -> dict:
+    """Strategy, complexity, per-phase op counts and budget flags of a solve."""
+    row = {
+        "strategy": (
+            f"reduction+{report.components[0].algorithm}"
+            if report.plan is not None
+            else report.algorithm
+        ),
+        "complexity": report.complexity,
         "ops": {
-            "reduction": red.total,
-            "components": sum(comp_ops),
-            "component_list": comp_ops,
-            "total": total,
+            "reduction": report.ops_reduction,
+            "components": report.ops_components,
+            "component_list": [comp.ops for comp in report.components],
+            "total": report.ops_total,
         },
-        "flags": flags,
+        "flags": report.budget_flags(),
     }
-
-
-def _measure_forced(s: PeriodicSequence, algorithm: str) -> dict:
-    spec = s.spec
-    n_total = len(s)
-    flags: list[str] = []
-    if algorithm == "bm":
-        with OpCounter() as ctr:
-            res = berlekamp_massey(list(s.period) * 2, spec)
-        c = res.complexity
-    elif algorithm == "ggc":
-        with OpCounter() as ctr:
-            c = ggc_complexity(s)
-        if ctr.total > 2 * spec.p ** 2 * n_total:
-            flags.append("ggc_bound_exceeded")
-    elif algorithm == "oracle":
-        with OpCounter() as ctr:
-            c = oracle_lincomp(s).complexity
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return {
-        "strategy": algorithm,
-        "complexity": c,
-        "ops": {
-            "reduction": 0,
-            "components": ctr.total,
-            "component_list": [ctr.total],
-            "total": ctr.total,
-        },
-        "flags": flags,
-    }
+    if report.plan is not None:
+        row.update(u=report.plan.u, n=report.plan.n)
+    return row
 
 
 def run_bench(cfg: BenchConfig) -> dict:
@@ -221,22 +144,17 @@ def run_bench(cfg: BenchConfig) -> dict:
             s = random_sequence(spec, n_period, _rng_for(cfg.seed, spec, n_period, trial))
             trial_complexities: dict[str, int] = {}
             for alg in cfg.algorithms:
-                if alg == "ggc" and _exact_log(n_period, spec.p) is None:
+                t0 = time.perf_counter()
+                try:
+                    report = solve(s, alg, min_poly=False)
+                except AlgorithmInapplicableError as exc:
                     rows.append(
-                        {
-                            "period": n_period,
-                            "trial": trial,
-                            "algorithm": alg,
-                            "skipped": f"period {n_period} is not a power of {spec.p}",
-                        }
+                        {"period": n_period, "trial": trial, "algorithm": alg,
+                         "skipped": str(exc)}
                     )
                     continue
-                t0 = time.perf_counter()
-                if alg == "auto":
-                    row = _measure_auto(s)
-                else:
-                    row = _measure_forced(s, alg)
                 wall = time.perf_counter() - t0
+                row = _bench_row(report)
                 row.update({"period": n_period, "trial": trial, "algorithm": alg,
                             "wall_time_s": wall})
                 trial_complexities[alg] = row["complexity"]

@@ -27,24 +27,13 @@ from typing import TextIO
 from .bench import BadConfigError, bench_config_from_dict, render_bench_table, run_bench
 from .field import FieldElement, FieldError, FieldSpec, make_field
 from .poly import Poly
-from .reduction import (
-    ComponentReport,
-    Inapplicable,
-    SolveReport,
-    plan_reduction,
-    solve_auto_report,
-    solve_reduction_report,
-    _solve_component,
-)
-from .sequence import LinCompResult, PeriodicSequence, oracle_lincomp, verify_recurrence
-from .algorithms import NotPrimePowerPeriodError
+from .reduction import ALGORITHMS, AlgorithmInapplicableError, SolveReport, solve
+from .sequence import PeriodicSequence, oracle_lincomp, verify_recurrence
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INAPPLICABLE = 3
-
-ALGORITHMS = ("auto", "bm", "ggc", "reduction", "oracle")
 
 
 class SequenceFileError(ValueError):
@@ -65,10 +54,6 @@ class SequenceSyntaxError(SequenceFileError):
 
 class ElementOutOfRangeError(SequenceFileError):
     pass
-
-
-class AlgorithmInapplicableError(Exception):
-    """The forced algorithm's precondition fails for this input."""
 
 
 # ---------------------------------------------------------------------------
@@ -229,53 +214,19 @@ def _poly_coords(f: Poly) -> list[list[int]]:
     return [list(c.coeffs) for c in f.coeffs]
 
 
-def _solve_with_algorithm(s: PeriodicSequence, algorithm: str) -> SolveReport:
-    if algorithm == "auto":
-        return solve_auto_report(s)
-    if algorithm == "reduction":
-        plan = plan_reduction(s.spec, len(s))
-        if isinstance(plan, Inapplicable):
-            raise AlgorithmInapplicableError(
-                f"reduction is not applicable to period {len(s)} over {s.spec!r}: "
-                f"{plan.detail}"
-            )
-        return solve_reduction_report(s, plan)
-    if algorithm == "ggc":
-        try:
-            comp = _solve_component(s)
-        except NotPrimePowerPeriodError as exc:
-            raise AlgorithmInapplicableError(str(exc)) from exc
-        if comp.algorithm != "ggc":
-            raise AlgorithmInapplicableError(
-                f"period {len(s)} is not a power of the characteristic {s.spec.p}"
-            )
-        return SolveReport(comp.result, None, (comp,), 0, comp.ops_solve, comp.ops_min_poly)
-    if algorithm == "bm":
-        from .algorithms import berlekamp_massey
-
-        res = berlekamp_massey(list(s.period) * 2, s.spec)
-        comp = ComponentReport(s, "bm", res, res.field_ops, 0)
-        return SolveReport(res, None, (comp,), 0, res.field_ops, 0)
-    if algorithm == "oracle":
-        res = oracle_lincomp(s)
-        comp = ComponentReport(s, "oracle", res, res.field_ops, 0)
-        return SolveReport(res, None, (comp,), 0, res.field_ops, 0)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
 def _factored_entries(report: SolveReport) -> list[dict]:
     if report.plan is not None:
         return [
             {
-                "factor_coeffs": _poly_coords(comp.result.min_poly),
+                "factor_coeffs": _poly_coords(comp.min_poly),
                 "scale_b": _element_coords(b),
             }
             for comp, b in zip(report.components, report.plan.roots_b)
         ]
-    one = report.result.min_poly.spec.one()
+    one = report.min_poly.spec.one()
     return [
         {
-            "factor_coeffs": _poly_coords(report.result.min_poly),
+            "factor_coeffs": _poly_coords(report.min_poly),
             "scale_b": _element_coords(one),
         }
     ]
@@ -285,7 +236,6 @@ def build_solve_report_dict(
     input_name: str,
     s: PeriodicSequence,
     report: SolveReport,
-    result: LinCompResult,
     verified: bool | None,
     wall_time_s: float,
 ) -> dict:
@@ -294,9 +244,9 @@ def build_solve_report_dict(
         "input": input_name,
         "field": {"p": spec.p, "m": spec.m, "modulus": list(spec.modulus)},
         "period": len(s),
-        "algorithm": result.algorithm,
-        "complexity": result.complexity,
-        "min_poly_expanded": _poly_coords(result.min_poly),
+        "algorithm": report.algorithm,
+        "complexity": report.complexity,
+        "min_poly_expanded": _poly_coords(report.min_poly),
         "min_poly_factored": _factored_entries(report),
         "ops": {
             "reduction": report.ops_reduction,
@@ -319,14 +269,14 @@ def _render_solve_text(report_dict: dict, report: SolveReport) -> str:
         f"period: {report_dict['period']}",
         f"algorithm: {report_dict['algorithm']}",
         f"complexity: {report_dict['complexity']}",
-        f"min_poly: {render_poly(report.result.min_poly)}",
+        f"min_poly: {render_poly(report.min_poly)}",
     ]
     if report.plan is not None:
         lines.append(f"reduction: u={report.plan.u}, n={report.plan.n}")
         for j, (comp, b) in enumerate(zip(report.components, report.plan.roots_b)):
             lines.append(
-                f"  component {j}: {comp.algorithm}, c={comp.result.complexity}, "
-                f"scale_b={render_element(b)}, m_j={render_poly(comp.result.min_poly)}"
+                f"  component {j}: {comp.algorithm}, c={comp.complexity}, "
+                f"scale_b={render_element(b)}, m_j={render_poly(comp.min_poly)}"
             )
     ops = report_dict["ops"]
     lines.append(
@@ -365,27 +315,20 @@ def _run_solve(args) -> int:
             return EXIT_USAGE
     t0 = time.perf_counter()
     try:
-        report = _solve_with_algorithm(s, args.algorithm)
+        report = solve(s, args.algorithm)
     except AlgorithmInapplicableError as exc:
         print(f"error: algorithm {args.algorithm!r} not applicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
     wall = time.perf_counter() - t0
-    result = report.result
-    if args.inject_mismatch:
-        result = LinCompResult(
-            result.complexity + 1, result.min_poly, result.algorithm, result.field_ops
-        )
     verified: bool | None = None
     if args.verify:
         ref = oracle_lincomp(s)
         verified = (
-            result.complexity == ref.complexity
-            and result.min_poly == ref.min_poly
-            and verify_recurrence(s, result.min_poly)
+            report.complexity == ref.complexity
+            and report.min_poly == ref.min_poly
+            and verify_recurrence(s, report.min_poly)
         )
-    report_dict = build_solve_report_dict(
-        str(args.input), s, report, result, verified, wall
-    )
+    report_dict = build_solve_report_dict(str(args.input), s, report, verified, wall)
     if args.json:
         print(json.dumps(report_dict, sort_keys=True))
     else:
@@ -457,9 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--seed", type=int, default=None, help="bench seed override")
     parser.add_argument("--bench", help="run the benchmark harness from this config file")
-    parser.add_argument(
-        "--inject-mismatch", action="store_true", help=argparse.SUPPRESS
-    )
     return parser
 
 

@@ -213,6 +213,16 @@ def _zp_is_irreducible(poly: Sequence[int], p: int) -> bool:
     return True
 
 
+def _check_order(p: int, m: int) -> None:
+    """Validate the characteristic, the extension degree and the order cap."""
+    if not isinstance(p, int) or not _is_prime(p):
+        raise NonPrimeError(f"characteristic {p!r} is not prime")
+    if not isinstance(m, int) or m < 1:
+        raise DegreeMismatchError(f"extension degree must be >= 1, got {m!r}")
+    if p ** m > MAX_FIELD_ORDER:
+        raise FieldError(f"field order {p}^{m} exceeds the desk-scale cap {MAX_FIELD_ORDER}")
+
+
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over GF(p).
 
@@ -244,14 +254,7 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         p, m = self.p, self.m
-        if not isinstance(p, int) or not _is_prime(p):
-            raise NonPrimeError(f"characteristic {p!r} is not prime")
-        if not isinstance(m, int) or m < 1:
-            raise DegreeMismatchError(f"extension degree must be >= 1, got {m!r}")
-        if p ** m > MAX_FIELD_ORDER:
-            raise FieldError(
-                f"field order {p}^{m} exceeds the desk-scale cap {MAX_FIELD_ORDER}"
-            )
+        _check_order(p, m)
         mod = tuple(int(c) % p for c in self.modulus)
         if len(mod) != m + 1:
             raise DegreeMismatchError(
@@ -259,12 +262,15 @@ class FieldSpec:
             )
         if mod[m] != 1:
             raise DegreeMismatchError("modulus must be monic of degree m")
-        if mod != self.modulus:
-            object.__setattr__(self, "modulus", mod)
         if self.order_minus_one != p ** m - 1:
             raise FieldError("order_minus_one must equal p^m - 1")
         if not _zp_is_irreducible(list(mod), p):
             raise ReducibleModulusError(f"modulus {list(mod)} is reducible over GF({p})")
+        if m == 1:
+            # GF(p) arithmetic never reads the modulus: keep one canonical form
+            mod = (0, 1)
+        if mod != self.modulus:
+            object.__setattr__(self, "modulus", mod)
         # reduction table: coordinates of t^m .. t^(2m-2)
         xpows: list[tuple[int, ...]] = []
         if m > 1:
@@ -457,44 +463,15 @@ def make_field(p: int, m: int = 1, modulus: Sequence[int] | None = None) -> Fiel
     When the modulus is omitted, the lexicographically smallest monic
     irreducible of degree m is selected (coefficients compared low degree
     first), so repeated calls agree across runs. For m=1 the placeholder
-    modulus is t itself and arithmetic is plain arithmetic mod p.
+    modulus is t itself (any valid linear modulus is stored as t) and
+    arithmetic is plain arithmetic mod p.
     """
-    if not isinstance(p, int) or not _is_prime(p):
-        raise NonPrimeError(f"characteristic {p!r} is not prime")
-    if not isinstance(m, int) or m < 1:
-        raise DegreeMismatchError(f"extension degree must be >= 1, got {m!r}")
-    if p ** m > MAX_FIELD_ORDER:
-        raise FieldError(f"field order {p}^{m} exceeds the desk-scale cap {MAX_FIELD_ORDER}")
+    _check_order(p, m)
     if modulus is None:
         modulus = _smallest_irreducible(p, m)
     return FieldSpec(
         p=p, m=m, modulus=tuple(int(c) for c in modulus), order_minus_one=p ** m - 1
     )
-
-
-def fe_arith(spec: FieldSpec, op: str, a: FieldElement, b=None) -> FieldElement:
-    """Dispatch-style arithmetic mirroring the operator API.
-
-    op is one of add/sub/mul/inv/pow; pow takes an integer exponent
-    (negative exponents invert first).
-    """
-    if a.spec != spec:
-        raise MixedFieldsError(f"first operand belongs to {a.spec!r}, not {spec!r}")
-    if op == "inv":
-        return a.inv()
-    if op == "pow":
-        if not isinstance(b, int):
-            raise TypeError("pow needs an integer exponent")
-        return a ** b
-    if not isinstance(b, FieldElement):
-        raise TypeError(f"{op} needs a FieldElement second operand")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 @lru_cache(maxsize=None)

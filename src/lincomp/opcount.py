@@ -40,7 +40,3 @@ def tally(n: int = 1) -> None:
     counter = _ACTIVE.get()
     if counter is not None:
         counter.total += n
-
-
-def active_counter() -> OpCounter | None:
-    return _ACTIVE.get()

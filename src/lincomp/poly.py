@@ -166,20 +166,6 @@ class Poly:
         return f"Poly({self.spec!r}, [{body}])"
 
 
-def poly_arith(op: str, f: Poly, g: Poly):
-    """Dispatch-style polynomial arithmetic: add/sub/mul return a Poly,
-    divrem returns (quotient, remainder)."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "divrem":
-        return divmod(f, g)
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def _normalize_unit(f: Poly) -> Poly:
     """Scale by a unit: constant term 1 when the constant term is nonzero,
     monic otherwise."""

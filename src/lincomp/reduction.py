@@ -9,6 +9,10 @@ product of the component polynomials with arguments scaled by b_j^{-1}.
 The decomposition follows a fixed accounting scheme: component 0 by direct
 summation, one incremental power table per remaining root, then
 multiply-accumulate, for at most 3(u-1)N field operations in total.
+
+solve() is the one place that picks a strategy; the CLI, the bench harness
+and the tests all go through it, and it alone counts the operations of each
+phase.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algorithms import _exact_log, berlekamp_massey, ggc_phases
+from .algorithms import _exact_log, berlekamp_massey, ggc_complexity
 from .field import (
     FieldElement,
     FieldSpec,
@@ -25,8 +29,10 @@ from .field import (
     uth_roots_of_unity,
 )
 from .opcount import OpCounter
-from .poly import Poly, one_minus_x_pow, poly_gcd_normalized, scale_argument
-from .sequence import LinCompResult, PeriodicSequence
+from .poly import Poly, poly_pow, scale_argument
+from .sequence import LinCompResult, PeriodicSequence, oracle_lincomp
+
+ALGORITHMS = ("auto", "bm", "ggc", "reduction", "oracle")
 
 
 class PeriodMismatchError(ValueError):
@@ -35,6 +41,10 @@ class PeriodMismatchError(ValueError):
 
 class ArityMismatchError(ValueError):
     pass
+
+
+class AlgorithmInapplicableError(Exception):
+    """The requested algorithm's precondition fails for this input."""
 
 
 @dataclass(frozen=True)
@@ -80,18 +90,13 @@ class ReductionPlan:
                 raise ValueError("roots_b[i]^n must equal roots_x[i]")
 
 
-def plan_reduction(
-    spec: FieldSpec, N: int, verify_coprime: bool = False
-) -> ReductionPlan | Inapplicable:
+def plan_reduction(spec: FieldSpec, N: int) -> ReductionPlan | Inapplicable:
     """Choose the unique admissible split N = u*n, or explain why none exists.
 
     Every prime shared between N and q = p^m - 1 must contribute its full
     multiplicity in N to u (otherwise n would not be coprime to q), so u is
     forced. Returns Inapplicable when u = 1 (nothing to split) or when that
     forced u does not divide q.
-
-    verify_coprime additionally checks, test-mode style, that the u
-    polynomials 1 - (b_i^{-1} x)^n are pairwise coprime.
     """
     if N < 1:
         raise ValueError("period must be >= 1")
@@ -112,22 +117,7 @@ def plan_reduction(
     n = N // u
     roots_x = tuple(uth_roots_of_unity(spec, u))
     roots_b = tuple(nth_root_coprime(spec, x, n) for x in roots_x)
-    plan = ReductionPlan(spec, N, u, n, roots_x, roots_b)
-    if verify_coprime:
-        _assert_pairwise_coprime(plan)
-    return plan
-
-
-def _assert_pairwise_coprime(plan: ReductionPlan) -> None:
-    base = one_minus_x_pow(plan.spec, plan.n)
-    polys = [scale_argument(base, b.inv()) for b in plan.roots_b]
-    one = Poly.one(plan.spec)
-    for i in range(plan.u):
-        for j in range(i + 1, plan.u):
-            if poly_gcd_normalized(polys[i], polys[j]) != one:
-                raise AssertionError(
-                    f"factors {i} and {j} of 1 - x^N are not coprime"
-                )
+    return ReductionPlan(spec, N, u, n, roots_x, roots_b)
 
 
 def decompose(s: PeriodicSequence, plan: ReductionPlan) -> list[PeriodicSequence]:
@@ -168,43 +158,46 @@ def decompose(s: PeriodicSequence, plan: ReductionPlan) -> list[PeriodicSequence
     return comps
 
 
-def compose(results: list[LinCompResult], plan: ReductionPlan) -> LinCompResult:
-    """Recombine component results: complexities add, polynomials multiply
-    with arguments scaled by the inverse roots."""
-    if len(results) != plan.u:
-        raise ArityMismatchError(f"expected {plan.u} component results, got {len(results)}")
-    with OpCounter() as ctr:
-        total_c = 0
-        mp = Poly.one(plan.spec)
-        for res, b in zip(results, plan.roots_b):
-            total_c += res.complexity
-            mp = mp * scale_argument(res.min_poly, b.inv())
-    ops = ctr.total + sum(r.field_ops for r in results)
-    return LinCompResult(total_c, mp, "reduction", ops)
+def compose(polys: list[Poly], plan: ReductionPlan) -> Poly:
+    """Connection polynomial of the split sequence from its components':
+    the product of m_j(b_j^{-1} x) over the plan's roots."""
+    if len(polys) != plan.u:
+        raise ArityMismatchError(f"expected {plan.u} component polynomials, got {len(polys)}")
+    mp = Poly.one(plan.spec)
+    for f, b in zip(polys, plan.roots_b):
+        mp = mp * scale_argument(f, b.inv())
+    return mp
 
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """One solved component: which solver ran and how its work splits.
+    """One sequence solved directly: which solver ran, what it found, and
+    the operations it spent.
 
-    ops_solve is the complexity-determination work; ops_min_poly is the
-    extra spent reconstructing the connection polynomial (zero for the
-    synthesis path, which produces the polynomial as it goes).
+    ops counts the solver's own work; building (1-x)^c after a contraction
+    is assembly and counts as compose. min_poly is None when the solve
+    skipped assembly and the solver does not produce the polynomial itself.
     """
 
     sequence: PeriodicSequence
     algorithm: str
-    result: LinCompResult
-    ops_solve: int
-    ops_min_poly: int
+    complexity: int
+    min_poly: Poly | None
+    ops: int
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Full trace of a solve: plan (if any), per-component reports, and the
-    per-phase operation counts that sum to result.field_ops."""
+    """Full trace of a solve: the answer, the plan (if the period was split),
+    the per-component reports, and the operation counts of the three phases.
 
-    result: LinCompResult
+    min_poly is None when the solve skipped assembly (min_poly=False), in
+    which case ops_compose is 0.
+    """
+
+    algorithm: str
+    complexity: int
+    min_poly: Poly | None
     plan: ReductionPlan | None
     components: tuple[ComponentReport, ...]
     ops_reduction: int
@@ -212,58 +205,124 @@ class SolveReport:
     ops_compose: int
 
     @property
+    def result(self) -> LinCompResult:
+        """The answer as a LinCompResult; needs the connection polynomial."""
+        if self.min_poly is None:
+            raise ValueError("solved with min_poly=False: no connection polynomial")
+        return LinCompResult(self.complexity, self.min_poly, self.algorithm)
+
+    @property
     def ops_total(self) -> int:
         return self.ops_reduction + self.ops_components + self.ops_compose
 
+    def budget_flags(self) -> list[str]:
+        """The paper's cost budgets this solve exceeded; empty when it kept all.
 
-def _solve_component(s: PeriodicSequence) -> ComponentReport:
-    """Direct solve of one sequence: contraction when the period is a power
-    of the characteristic, synthesis on two periods otherwise."""
-    spec = s.spec
-    if _exact_log(len(s), spec.p) is not None:
-        res, ops_solve, ops_poly = ggc_phases(s)
-        return ComponentReport(s, "ggc", res, ops_solve, ops_poly)
-    res = berlekamp_massey(list(s.period) * 2, spec)
-    return ComponentReport(s, "bm", res, res.field_ops, 0)
-
-
-def solve_reduction_report(s: PeriodicSequence, plan: ReductionPlan) -> SolveReport:
-    """Decompose, solve every component directly, and recombine."""
-    with OpCounter() as red:
-        parts = decompose(s, plan)
-    comps = tuple(_solve_component(c) for c in parts)
-    with OpCounter() as comp_ctr:
-        combined = compose([c.result for c in comps], plan)
-    ops_components = sum(c.ops_solve for c in comps)
-    ops_compose = sum(c.ops_min_poly for c in comps) + comp_ctr.total
-    result = LinCompResult(
-        combined.complexity,
-        combined.min_poly,
-        "reduction",
-        red.total + ops_components + ops_compose,
-    )
-    return SolveReport(result, plan, comps, red.total, ops_components, ops_compose)
+        The split may cost 3(u-1)N, a contraction on period N' 2p^2 N', and
+        a split whose components all contract (3(u-1) + 2p^2)N in total.
+        Assembly is reporting work on top and no budget covers it.
+        """
+        p = self.components[0].sequence.spec.p
+        flags = []
+        split_budget = 0
+        if self.plan is not None:
+            split_budget = 3 * (self.plan.u - 1) * self.plan.N
+            if self.ops_reduction > split_budget:
+                flags.append("decompose_bound_exceeded")
+        for comp in self.components:
+            if comp.algorithm == "ggc" and comp.ops > 2 * p ** 2 * len(comp.sequence):
+                flags.append("ggc_bound_exceeded")
+        if (
+            self.plan is not None
+            and all(comp.algorithm == "ggc" for comp in self.components)
+            and self.ops_reduction + self.ops_components
+            > split_budget + 2 * p ** 2 * self.plan.N
+        ):
+            flags.append("reduction_ggc_bound_exceeded")
+        return flags
 
 
-def solve_auto_report(s: PeriodicSequence) -> SolveReport:
-    """Best applicable strategy with a full trace.
+def _solve_direct(s: PeriodicSequence, algorithm: str) -> tuple[int, Poly | None]:
+    """Complexity of s by one direct solver, plus the connection polynomial
+    when that solver produces it (the contraction does not)."""
+    if algorithm == "ggc":
+        return ggc_complexity(s), None
+    if algorithm == "bm":
+        res = berlekamp_massey(list(s.period) * 2, s.spec)
+    else:
+        res = oracle_lincomp(s)
+    return res.complexity, res.min_poly
 
-    Reduce when the period splits; solve the whole sequence directly
-    otherwise. Always produces the same complexity and polynomial as the
-    gcd oracle.
+
+def solve(
+    s: PeriodicSequence, algorithm: str = "auto", min_poly: bool = True
+) -> SolveReport:
+    """Linear complexity of s and, unless min_poly is False, its minimal
+    connection polynomial, by one of ALGORITHMS.
+
+    auto reduces when the period splits and solves the whole sequence
+    directly otherwise; each sequence it solves directly gets the contraction
+    when its period is a power of p and synthesis on two periods otherwise.
+    reduction is auto that requires the split, ggc the contraction on the
+    whole sequence (period p^h only), bm synthesis and oracle the gcd
+    formula. Raises AlgorithmInapplicableError when the requested
+    algorithm's precondition fails. Every algorithm gives the gcd oracle's
+    complexity and polynomial.
     """
-    plan = plan_reduction(s.spec, len(s))
-    if isinstance(plan, Inapplicable):
-        comp = _solve_component(s)
-        return SolveReport(
-            comp.result, None, (comp,), 0, comp.ops_solve, comp.ops_min_poly
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    spec, N = s.spec, len(s)
+    plan = None
+    route = algorithm
+    if algorithm in ("auto", "reduction"):
+        plan = plan_reduction(spec, N)
+        if isinstance(plan, Inapplicable):
+            if algorithm == "reduction":
+                raise AlgorithmInapplicableError(
+                    f"reduction is not applicable to period {N} over {spec!r}: "
+                    f"{plan.detail}"
+                )
+            plan = None
+        n = plan.n if plan is not None else N
+        route = "ggc" if _exact_log(n, spec.p) is not None else "bm"
+    elif algorithm == "ggc" and _exact_log(N, spec.p) is None:
+        raise AlgorithmInapplicableError(
+            f"period {N} is not a power of the characteristic {spec.p}"
         )
-    return solve_reduction_report(s, plan)
 
-
-def solve_auto(s: PeriodicSequence) -> LinCompResult:
-    """Best applicable strategy; see solve_auto_report for the trace."""
-    return solve_auto_report(s).result
+    with OpCounter() as red:
+        parts = decompose(s, plan) if plan is not None else [s]
+    solved = []
+    for part in parts:
+        with OpCounter() as ctr:
+            c, poly = _solve_direct(part, route)
+        solved.append((part, c, poly, ctr.total))
+    polys = [poly for _, _, poly, _ in solved]
+    mp = None
+    with OpCounter() as asm:
+        if min_poly:
+            # 1 - x^(p^h) = (1-x)^(p^h) in characteristic p, so the polynomial
+            # of a contraction with complexity c is (1-x)^c
+            one_minus_x = Poly(spec, [spec.one(), spec.scalar(-1)])
+            polys = [
+                poly if poly is not None else poly_pow(one_minus_x, c)
+                for _, c, poly, _ in solved
+            ]
+            mp = compose(polys, plan) if plan is not None else polys[0]
+    comps = tuple(
+        ComponentReport(part, route, c, poly, ops)
+        for (part, c, _, ops), poly in zip(solved, polys)
+    )
+    return SolveReport(
+        "reduction" if plan is not None else route,
+        sum(comp.complexity for comp in comps),
+        mp,
+        plan,
+        comps,
+        red.total,
+        sum(comp.ops for comp in comps),
+        asm.total,
+    )
 
 
 def reduce_antisymmetric(s: PeriodicSequence) -> tuple[PeriodicSequence, FieldElement]:

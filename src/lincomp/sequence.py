@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .field import FieldElement, FieldSpec
-from .opcount import OpCounter
 from .poly import Poly, one_minus_x_pow, poly_gcd_normalized
 
 
@@ -59,13 +58,12 @@ class LinCompResult:
     """Linear complexity plus the minimal connection polynomial that attains it.
 
     algorithm records which path produced the result (oracle, bm, ggc or
-    reduction); field_ops is the number of field operations that path spent.
+    reduction).
     """
 
     complexity: int
     min_poly: Poly
     algorithm: str
-    field_ops: int
 
     def __post_init__(self) -> None:
         if self.complexity < 0:
@@ -89,13 +87,12 @@ def oracle_lincomp(s: PeriodicSequence) -> LinCompResult:
     against. The all-zero sequence yields c=0 and connection polynomial 1.
     """
     n = len(s)
-    with OpCounter() as ctr:
-        f = generating_poly(s)
-        denom = one_minus_x_pow(s.spec, n)
-        d = poly_gcd_normalized(f, denom)
-        m, r = divmod(denom, d)
-        assert r.is_zero(), "gcd must divide 1 - x^N"
-    return LinCompResult(n - d.degree, m, "oracle", ctr.total)
+    f = generating_poly(s)
+    denom = one_minus_x_pow(s.spec, n)
+    d = poly_gcd_normalized(f, denom)
+    m, r = divmod(denom, d)
+    assert r.is_zero(), "gcd must divide 1 - x^N"
+    return LinCompResult(n - d.degree, m, "oracle")
 
 
 def verify_recurrence(s: PeriodicSequence, m: Poly) -> bool:

@@ -10,14 +10,14 @@ from itertools import product
 import pytest
 
 from helpers import GF2, GF3, GF7, GF9, GF13, all_sequences, random_sequence, rng, seq
-from lincomp.algorithms import berlekamp_massey, ggc_lincomp
+from lincomp.algorithms import berlekamp_massey
 from lincomp.bench import BenchConfig, run_bench
 from lincomp.poly import Poly, poly_pow, scale_argument
 from lincomp.reduction import (
     ReductionPlan,
     decompose,
     reduce_antisymmetric,
-    solve_auto_report,
+    solve,
 )
 from lincomp.sequence import (
     LinCompResult,
@@ -40,7 +40,7 @@ def _passed(criterion: int, name: str) -> None:
 def test_criterion_1_golden_period21():
     s = seq(GF7, N21)
     t0 = time.perf_counter()
-    report = solve_auto_report(s)
+    report = solve(s)
     elapsed = time.perf_counter() - t0
 
     assert report.result.complexity == 21
@@ -58,8 +58,8 @@ def test_criterion_1_golden_period21():
     assert got == {"4424645", "4366203", "2622130"}
     m7 = poly_pow(Poly.from_ints(GF7, [1, -1]), 7)
     for comp in report.components:
-        assert comp.result.complexity == 7
-        assert comp.result.min_poly == m7
+        assert comp.complexity == 7
+        assert comp.min_poly == m7
 
     assert elapsed < 1.0, f"solve took {elapsed:.3f}s"
     _passed(1, "golden-period21")
@@ -113,11 +113,11 @@ def _solve_instance(name: str, s: PeriodicSequence) -> SolvedInstance:
     while p_power % spec.p == 0:
         p_power //= spec.p
     if p_power == 1:
-        ggc_res = ggc_lincomp(s)
+        ggc_res = solve(s, "ggc").result
     return SolvedInstance(
         name=name,
         sequence=s,
-        auto_report=solve_auto_report(s),
+        auto_report=solve(s),
         bm=berlekamp_massey(list(s.period) * 2, spec),
         ggc=ggc_res,
         oracle=oracle_lincomp(s),

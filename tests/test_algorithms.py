@@ -6,17 +6,16 @@ from lincomp.algorithms import (
     BadLengthError,
     EmptyPrefixError,
     NotPrimePowerPeriodError,
-    WrongCharacteristicError,
     _bm_generic,
     _bm_prime,
     berlekamp_massey,
     ggc_complexity,
     ggc_fold,
-    ggc_lincomp,
     ggc_steps,
 )
 from lincomp.opcount import OpCounter
 from lincomp.poly import Poly, one_minus_x_pow, poly_pow
+from lincomp.reduction import AlgorithmInapplicableError, solve
 from lincomp.sequence import oracle_lincomp
 
 
@@ -106,21 +105,17 @@ class TestGgcFold:
         with pytest.raises(BadLengthError):
             ggc_fold((GF7.one(),), GF7)
 
-    def test_wrong_characteristic_rejected(self):
-        with pytest.raises(WrongCharacteristicError):
-            ggc_fold(tuple([GF7.zero()] * 49), GF7, p=3)
-
 
 class TestGgcComplexity:
     def test_component_golden(self):
         s = seq(GF7, [4, 4, 2, 4, 6, 4, 5])
-        res = ggc_lincomp(s)
+        res = solve(s, "ggc").result
         assert res.complexity == 7
         assert res.min_poly == poly_pow(Poly.from_ints(GF7, [1, -1]), 7)
         assert res.algorithm == "ggc"
 
     def test_all_zero_period_49(self):
-        res = ggc_lincomp(seq(GF7, [0] * 49))
+        res = solve(seq(GF7, [0] * 49), "ggc").result
         assert res.complexity == 0
         assert res.min_poly == Poly.one(GF7)
 
@@ -136,12 +131,14 @@ class TestGgcComplexity:
 
     def test_non_prime_power_rejected(self):
         with pytest.raises(NotPrimePowerPeriodError):
-            ggc_lincomp(seq(GF7, [1] * 21))
+            ggc_complexity(seq(GF7, [1] * 21))
+        with pytest.raises(AlgorithmInapplicableError):
+            solve(seq(GF7, [1] * 21), "ggc")
 
     def test_exhaustive_gf2_up_to_8(self):
         for n in [1, 2, 4, 8]:
             for s in all_sequences(GF2, n):
-                res = ggc_lincomp(s)
+                res = solve(s, "ggc").result
                 ref = oracle_lincomp(s)
                 assert res.complexity == ref.complexity, s.period
                 assert res.min_poly == ref.min_poly
@@ -154,7 +151,7 @@ class TestGgcComplexity:
         r = rng(f"ggc-{spec.p}-{spec.m}-{n}")
         for _ in range(count):
             s = random_sequence(spec, n, r)
-            res = ggc_lincomp(s)
+            res = solve(s, "ggc").result
             ref = oracle_lincomp(s)
             assert res.complexity == ref.complexity
             assert res.min_poly == ref.min_poly

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lincomp.cli
 from helpers import GF7, GF9, all_elements
 from lincomp.cli import (
     BadHeaderError,
@@ -16,7 +17,9 @@ from lincomp.cli import (
     parse_sequence_file,
     render_poly,
 )
+from lincomp.field import make_field
 from lincomp.poly import Poly
+from lincomp.sequence import LinCompResult, oracle_lincomp
 
 N21_TEXT = "p=7 m=1\n1 2 3 4 0 1 5 2 0 1 1 3 0 6 1 2 5 6 3 3 1\n"
 
@@ -82,6 +85,9 @@ class TestParseSequenceFile:
     def test_field_header_parser(self):
         assert parse_field_header("p=7 m=1") == GF7
         assert parse_field_header("p=3 m=2 mod=1,0,1") == GF9
+
+    def test_prime_field_modulus_normalized(self):
+        assert parse_field_header("p=7 m=1 mod=1,1") == make_field(7)
 
 
 class TestPolyRendering:
@@ -164,9 +170,19 @@ class TestSolveCommand:
         assert main(["--input", path, "--field", "p=13 m=1"]) == 2
         assert "does not match" in capsys.readouterr().err
 
-    def test_verify_mismatch_injection(self, tmp_path, capsys):
+    def test_field_cross_check_normalizes_linear_modulus(self, tmp_path, capsys):
+        path = write_seq(tmp_path, "s.seq", N21_TEXT.replace("m=1", "m=1 mod=1,1"))
+        assert main(["--input", path, "--field", "p=7 m=1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["field"]["modulus"] == [0, 1]
+
+    def test_verify_mismatch_injection(self, tmp_path, capsys, monkeypatch):
+        def wrong_oracle(s):
+            ref = oracle_lincomp(s)
+            return LinCompResult(ref.complexity + 1, ref.min_poly, ref.algorithm)
+
+        monkeypatch.setattr(lincomp.cli, "oracle_lincomp", wrong_oracle)
         path = write_seq(tmp_path, "s.seq", N21_TEXT)
-        code = main(["--input", path, "--verify", "--inject-mismatch", "--json"])
+        code = main(["--input", path, "--verify", "--json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 1
         assert report["verified"] is False
@@ -279,7 +295,27 @@ class TestBenchCommand:
         code = main(["--bench", str(cfg), "--json"])
         result = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert all("skipped" in r for r in result["rows"])
+        assert [r["skipped"] for r in result["rows"]] == [
+            "period 21 is not a power of the characteristic 7"
+        ]
+
+    @pytest.mark.parametrize(
+        "change,key",
+        [
+            ({"field": {"p": 4}}, "field"),
+            ({"trials": "x"}, "trials"),
+            ({"seed": None}, "seed"),
+            ({"algorithms": "auto"}, "algorithms"),
+        ],
+    )
+    def test_bad_config_values_rejected(self, tmp_path, capsys, change, key):
+        config = {"field": {"p": 7, "m": 1}, "periods": [21], "trials": 1, "seed": 1}
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({**config, **change}))
+        assert main(["--bench", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err
+        assert "Traceback" not in err
 
     def test_bench_determinism_modulo_wall_time(self, tmp_path, capsys):
         cfg = tmp_path / "bench.json"

@@ -12,7 +12,6 @@ from lincomp.poly import (
     Poly,
     ZeroScaleError,
     one_minus_x_pow,
-    poly_arith,
     poly_gcd_normalized,
     poly_pow,
     scale_argument,
@@ -55,16 +54,6 @@ class TestBasics:
     def test_add_identity(self):
         f = p7(3, 1, 4)
         assert f + Poly.zero(GF7) == f
-        assert poly_arith("add", f, Poly.zero(GF7)) == f
-
-    def test_poly_arith_dispatch(self):
-        f, g = p7(1, 1), p7(0, 1)
-        assert poly_arith("sub", f, g) == p7(1)
-        assert poly_arith("mul", f, g) == p7(0, 1, 1)
-        q, r = poly_arith("divrem", f, g)
-        assert q * g + r == f
-        with pytest.raises(ValueError):
-            poly_arith("pow", f, g)
 
     def test_divide_by_zero_poly(self):
         with pytest.raises(DivideByZeroPolyError):

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 from helpers import GF7, GF9, GF13, random_sequence, rng, seq
-from lincomp.poly import Poly, one_minus_x_pow, poly_pow, scale_argument
+from lincomp.poly import Poly, one_minus_x_pow, poly_gcd_normalized, poly_pow, scale_argument
 from lincomp.reduction import (
+    ALGORITHMS,
+    AlgorithmInapplicableError,
     ArityMismatchError,
     Inapplicable,
     PeriodMismatchError,
@@ -11,15 +15,9 @@ from lincomp.reduction import (
     decompose,
     plan_reduction,
     reduce_antisymmetric,
-    solve_auto,
-    solve_auto_report,
+    solve,
 )
-from lincomp.sequence import (
-    LinCompResult,
-    PeriodicSequence,
-    oracle_lincomp,
-    verify_recurrence,
-)
+from lincomp.sequence import PeriodicSequence, oracle_lincomp, verify_recurrence
 
 N21 = [1, 2, 3, 4, 0, 1, 5, 2, 0, 1, 1, 3, 0, 6, 1, 2, 5, 6, 3, 3, 1]
 
@@ -28,10 +26,21 @@ def digits(component):
     return "".join(str(e.coeffs[0]) for e in component.period)
 
 
+def assert_pairwise_coprime(plan):
+    """The u factors 1 - (b_i^{-1} x)^n of 1 - x^N share no factor."""
+    base = one_minus_x_pow(plan.spec, plan.n)
+    polys = [scale_argument(base, b.inv()) for b in plan.roots_b]
+    one = Poly.one(plan.spec)
+    for i in range(plan.u):
+        for j in range(i + 1, plan.u):
+            assert poly_gcd_normalized(polys[i], polys[j]) == one, (i, j)
+
+
 class TestPlan:
     def test_gf7_n21(self):
-        plan = plan_reduction(GF7, 21, verify_coprime=True)
+        plan = plan_reduction(GF7, 21)
         assert isinstance(plan, ReductionPlan)
+        assert_pairwise_coprime(plan)
         assert (plan.u, plan.n) == (3, 7)
         assert set(plan.roots_x) == {GF7.scalar(1), GF7.scalar(2), GF7.scalar(4)}
         assert set(plan.roots_b) == {GF7.scalar(1), GF7.scalar(2), GF7.scalar(4)}
@@ -49,8 +58,9 @@ class TestPlan:
         assert plan.reason == "u_not_divisor"
 
     def test_gf9_n40(self):
-        plan = plan_reduction(GF9, 40, verify_coprime=True)
+        plan = plan_reduction(GF9, 40)
         assert isinstance(plan, ReductionPlan)
+        assert_pairwise_coprime(plan)
         assert (plan.u, plan.n) == (8, 5)
 
     def test_roots_satisfy_their_equations(self):
@@ -100,55 +110,52 @@ class TestCompose:
     def test_golden_product(self):
         plan = plan_reduction(GF7, 21)
         m7 = poly_pow(Poly.from_ints(GF7, [1, -1]), 7)
-        results = [LinCompResult(7, m7, "ggc", 0) for _ in range(3)]
-        combined = compose(results, plan)
-        assert combined.complexity == 21
+        combined = compose([m7] * 3, plan)
         expected = (
             poly_pow(Poly.from_ints(GF7, [1, -1]), 7)
             * poly_pow(Poly.from_ints(GF7, [1, -4]), 7)
             * poly_pow(Poly.from_ints(GF7, [1, -2]), 7)
         )
-        assert combined.min_poly == expected
+        assert combined == expected
         # same thing, collapsed by the characteristic-7 identity
-        assert combined.min_poly == one_minus_x_pow(GF7, 21)
+        assert combined == one_minus_x_pow(GF7, 21)
 
     def test_zero_components(self):
         plan = plan_reduction(GF7, 21)
         one = Poly.one(GF7)
-        combined = compose([LinCompResult(0, one, "ggc", 0)] * 3, plan)
-        assert combined.complexity == 0
-        assert combined.min_poly == one
+        assert compose([one] * 3, plan) == one
 
     def test_u2_single_live_component(self):
         plan = plan_reduction(GF7, 10)
         assert isinstance(plan, ReductionPlan) and plan.u == 2
         m1 = oracle_lincomp(seq(GF7, [3, 1, 4, 1, 5])).min_poly
-        c1 = m1.degree
-        combined = compose(
-            [LinCompResult(0, Poly.one(GF7), "ggc", 0), LinCompResult(c1, m1, "bm", 0)],
-            plan,
-        )
-        assert combined.complexity == c1
-        assert combined.min_poly == scale_argument(m1, plan.roots_b[1].inv())
+        combined = compose([Poly.one(GF7), m1], plan)
+        assert combined.degree == m1.degree
+        assert combined == scale_argument(m1, plan.roots_b[1].inv())
 
     def test_arity_mismatch(self):
         plan = plan_reduction(GF7, 21)
         with pytest.raises(ArityMismatchError):
-            compose([LinCompResult(0, Poly.one(GF7), "ggc", 0)], plan)
+            compose([Poly.one(GF7)], plan)
 
 
 class TestSolveAuto:
     def test_golden_n21(self):
-        report = solve_auto_report(seq(GF7, N21))
+        report = solve(seq(GF7, N21))
         assert report.result.algorithm == "reduction"
         assert report.result.complexity == 21
         assert all(c.algorithm == "ggc" for c in report.components)
-        assert report.ops_total == report.result.field_ops
+        assert [c.complexity for c in report.components] == [7, 7, 7]
+        assert report.ops_total == (
+            report.ops_reduction + report.ops_components + report.ops_compose
+        )
+        assert report.ops_components == sum(c.ops for c in report.components)
+        assert report.budget_flags() == []
 
     def test_direct_ggc_when_period_is_p_power(self):
         r = rng("auto-49")
         s = random_sequence(GF7, 49, r)
-        report = solve_auto_report(s)
+        report = solve(s)
         assert report.plan is None
         assert report.result.algorithm == "ggc"
         ref = oracle_lincomp(s)
@@ -160,7 +167,7 @@ class TestSolveAuto:
     def test_gf13_n39_reduces_to_contraction(self):
         r = rng("auto-39")
         s = random_sequence(GF13, 39, r)
-        report = solve_auto_report(s)
+        report = solve(s)
         assert report.plan is not None and (report.plan.u, report.plan.n) == (3, 13)
         assert all(c.algorithm == "ggc" for c in report.components)
         ref = oracle_lincomp(s)
@@ -173,7 +180,7 @@ class TestSolveAuto:
         # N = 13 over GF(7): no split and 13 is not a power of 7
         r = rng("auto-13")
         s = random_sequence(GF7, 13, r)
-        report = solve_auto_report(s)
+        report = solve(s)
         assert report.plan is None
         assert report.result.algorithm == "bm"
         ref = oracle_lincomp(s)
@@ -190,7 +197,7 @@ class TestSolveAuto:
         r = rng(f"auto-{spec.p}-{spec.m}-{n_period}")
         for _ in range(count):
             s = random_sequence(spec, n_period, r)
-            res = solve_auto(s)
+            res = solve(s).result
             ref = oracle_lincomp(s)
             assert res.complexity == ref.complexity
             assert res.min_poly == ref.min_poly
@@ -218,13 +225,13 @@ class TestSolveAuto:
         s = random_sequence(GF7, 21, r)
         comps = decompose(s, plan)
         refs = [oracle_lincomp(c) for c in comps]
-        combined = compose(refs, plan)
+        combined = compose([x.min_poly for x in refs], plan)
+        assert combined == oracle_lincomp(s).min_poly
         for order in [(2, 0, 1), (1, 2, 0), (2, 1, 0)]:
             prod = Poly.one(GF7)
             for j in order:
                 prod = prod * scale_argument(refs[j].min_poly, plan.roots_b[j].inv())
-            assert prod == combined.min_poly
-            assert sum(refs[j].complexity for j in order) == combined.complexity
+            assert prod == combined
 
     def test_decompose_op_budget(self):
         from lincomp.opcount import OpCounter
@@ -238,6 +245,59 @@ class TestSolveAuto:
                 with OpCounter() as ctr:
                     decompose(s, plan)
                 assert ctr.total <= 3 * (plan.u - 1) * n_period
+
+
+class TestSolve:
+    @pytest.mark.parametrize(
+        "spec,n_period", [(GF7, 21), (GF7, 49), (GF7, 13), (GF9, 40), (GF13, 39)]
+    )
+    def test_every_applicable_algorithm_equals_oracle(self, spec, n_period):
+        r = rng(f"solve-all-{spec.p}-{spec.m}-{n_period}")
+        for _ in range(3):
+            s = random_sequence(spec, n_period, r)
+            ref = oracle_lincomp(s)
+            for alg in ALGORITHMS:
+                try:
+                    res = solve(s, alg).result
+                except AlgorithmInapplicableError:
+                    continue
+                assert (res.complexity, res.min_poly) == (ref.complexity, ref.min_poly), alg
+
+    def test_inapplicable_algorithms(self):
+        with pytest.raises(AlgorithmInapplicableError, match="nothing to split"):
+            solve(seq(GF7, [1] * 13), "reduction")
+        with pytest.raises(AlgorithmInapplicableError, match="power of the characteristic"):
+            solve(seq(GF7, N21), "ggc")
+        with pytest.raises(ValueError):
+            solve(seq(GF7, N21), "magic")
+
+    @pytest.mark.parametrize("algorithm", ["auto", "ggc", "bm"])
+    def test_skipping_assembly_keeps_complexity_and_solver_ops(self, algorithm):
+        s = random_sequence(GF7, 49 if algorithm == "ggc" else 21, rng("solve-nopoly"))
+        full = solve(s, algorithm)
+        bare = solve(s, algorithm, min_poly=False)
+        assert bare.complexity == full.complexity
+        assert bare.ops_reduction == full.ops_reduction
+        assert bare.ops_components == full.ops_components
+        assert bare.ops_compose == 0
+        assert bare.ops_total == full.ops_reduction + full.ops_components
+        if algorithm != "bm":
+            assert bare.min_poly is None
+            with pytest.raises(ValueError):
+                bare.result
+
+    def test_budget_flags(self):
+        report = solve(seq(GF7, N21))
+        assert report.budget_flags() == []
+        over = replace(report, ops_reduction=3 * 2 * 21 + 1)
+        assert over.budget_flags() == ["decompose_bound_exceeded"]
+        heavy = replace(report.components[0], ops=2 * 49 * 7 + 1)
+        over = replace(
+            report,
+            components=(heavy,) + report.components[1:],
+            ops_components=report.ops_components + 2 * 49 * 21,
+        )
+        assert over.budget_flags() == ["ggc_bound_exceeded", "reduction_ggc_bound_exceeded"]
 
 
 class TestAntisymmetric:

@@ -143,8 +143,8 @@ class TestMinimality:
 class TestLinCompResult:
     def test_validation(self):
         with pytest.raises(BadConnectionPolyError):
-            LinCompResult(1, Poly.from_ints(GF7, [2, 1]), "oracle", 0)
+            LinCompResult(1, Poly.from_ints(GF7, [2, 1]), "oracle")
         with pytest.raises(ValueError):
-            LinCompResult(0, Poly.from_ints(GF7, [1, 1]), "oracle", 0)
+            LinCompResult(0, Poly.from_ints(GF7, [1, 1]), "oracle")
         with pytest.raises(ValueError):
-            LinCompResult(-1, Poly.one(GF7), "oracle", 0)
+            LinCompResult(-1, Poly.one(GF7), "oracle")
