@@ -300,6 +300,9 @@ def _run_solve(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.input} is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.field:
         try:
             expected = parse_field_header(args.field)
@@ -348,6 +351,9 @@ def _run_bench(args) -> int:
             data = json.load(fh)
     except OSError as exc:
         print(f"error: cannot read {args.bench}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.bench} is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:
         print(f"error: {args.bench} is not valid JSON: {exc}", file=sys.stderr)

@@ -107,10 +107,11 @@ class Poly:
             return Poly.zero(self.spec)
         zero = self.spec.zero()
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        right = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_zero()]
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in right:
                 out[i + j] = out[i + j] + a * b
         return Poly(self.spec, out)
 
@@ -206,17 +207,64 @@ def scale_argument(f: Poly, s: FieldElement) -> Poly:
 
 
 def poly_pow(f: Poly, k: int) -> Poly:
-    """f**k by square and multiply; f**0 = 1."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-    result = Poly.one(f.spec)
-    base = f
-    while k:
-        if k & 1:
-            result = result * base
-        k >>= 1
-        if k:
-            base = base * base
+    """f**k; f**0 = 1. See product_of_powers."""
+    return product_of_powers(f.spec, [(f, k)])
+
+
+def _frobenius(f: Poly, t: int) -> Poly:
+    """f^(phi^t): every coefficient raised to the power p^t.
+
+    phi^m is the identity on GF(p^m) and GF(p) coefficients are its fixed
+    points, so those cost nothing; any other coefficient costs the
+    multiplications of c ** p^(t mod m).
+    """
+    r = t % f.spec.m
+    if not r:
+        return f
+    e = f.spec.p ** r
+    return Poly(f.spec, [c if not any(c.coeffs[1:]) else c ** e for c in f.coeffs])
+
+
+def _spread(g: Poly, step: int) -> Poly:
+    """g(x^step): no arithmetic, the coefficients move to multiples of step."""
+    out = [g.spec.zero()] * (g.degree * step + 1)
+    out[::step] = g.coeffs
+    return Poly(g.spec, out)
+
+
+def product_of_powers(spec: FieldSpec, factors: Iterable[tuple[Poly, int]]) -> Poly:
+    """The product of f**k over the (f, k) pairs; the empty product is 1.
+
+    In characteristic p, f(x)^p = f^phi(x^p), where phi raises every
+    coefficient to the p-th power. So with k = sum_t d_t p^t in base p,
+    f^k = prod_t (f^(phi^t))^(d_t) (x^(p^t)). The factors of one stride t
+    are multiplied together as small polynomials in y = x^(p^t); each
+    stride's product is then spread to x^(p^t) and multiplied in, widest
+    stride first, so the running product keeps nonzero coefficients only at
+    multiples of p^t until stride t. Raises ValueError on a negative or
+    non-integer exponent.
+    """
+    p = spec.p
+    strides: dict[int, Poly] = {}
+    for f, k in factors:
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
+        if f.spec is not spec and f.spec != spec:
+            raise MixedFieldsError(f"polynomial over {f.spec!r}, not {spec!r}")
+        t = 0
+        while k:
+            k, d = divmod(k, p)
+            if d:
+                g = _frobenius(f, t)
+                power = g
+                for _ in range(d - 1):
+                    power = power * g
+                strides[t] = strides[t] * power if t in strides else power
+            t += 1
+    result = Poly.one(spec)
+    for i, t in enumerate(sorted(strides, reverse=True)):
+        g = _spread(strides[t], p ** t)
+        result = g if i == 0 else result * g
     return result
 
 

@@ -29,7 +29,7 @@ from .field import (
     uth_roots_of_unity,
 )
 from .opcount import OpCounter
-from .poly import Poly, poly_pow, scale_argument
+from .poly import Poly, poly_pow, product_of_powers, scale_argument
 from .sequence import LinCompResult, PeriodicSequence, oracle_lincomp
 
 ALGORITHMS = ("auto", "bm", "ggc", "reduction", "oracle")
@@ -158,15 +158,27 @@ def decompose(s: PeriodicSequence, plan: ReductionPlan) -> list[PeriodicSequence
     return comps
 
 
-def compose(polys: list[Poly], plan: ReductionPlan) -> Poly:
+def compose(factors: list[tuple[Poly, int]], plan: ReductionPlan) -> Poly:
     """Connection polynomial of the split sequence from its components':
-    the product of m_j(b_j^{-1} x) over the plan's roots."""
-    if len(polys) != plan.u:
-        raise ArityMismatchError(f"expected {plan.u} component polynomials, got {len(polys)}")
-    mp = Poly.one(plan.spec)
-    for f, b in zip(polys, plan.roots_b):
-        mp = mp * scale_argument(f, b.inv())
-    return mp
+    the product of f_j(b_j^{-1} x)^(k_j) over the plan's roots, given one
+    (f_j, k_j) pair per component.
+
+    Cost: u inversions and the argument scaling of each f_j, then
+    product_of_powers. On the contraction route every factor is (1 - x, c_j)
+    with c_j <= n = p^h; the stride-t product has degree at most u(p-1) in
+    y = x^(p^t) and meets a running product with at most N/p^(t+1) + 1
+    nonzero coefficients, so stride t costs about 2(u(p-1) + 1)N/p^(t+1)
+    multiplications and additions, plus O((up)^2) for the stride product
+    itself and, over GF(p^m) with m > 1, O(m log p) per factor for the
+    Frobenius map. The whole assembly is O(u p N) field operations whatever
+    the component complexities.
+    """
+    if len(factors) != plan.u:
+        raise ArityMismatchError(f"expected {plan.u} component factors, got {len(factors)}")
+    return product_of_powers(
+        plan.spec,
+        [(scale_argument(f, b.inv()), k) for (f, k), b in zip(factors, plan.roots_b)],
+    )
 
 
 @dataclass(frozen=True)
@@ -304,11 +316,12 @@ def solve(
             # 1 - x^(p^h) = (1-x)^(p^h) in characteristic p, so the polynomial
             # of a contraction with complexity c is (1-x)^c
             one_minus_x = Poly(spec, [spec.one(), spec.scalar(-1)])
-            polys = [
-                poly if poly is not None else poly_pow(one_minus_x, c)
+            factors = [
+                (poly, 1) if poly is not None else (one_minus_x, c)
                 for _, c, poly, _ in solved
             ]
-            mp = compose(polys, plan) if plan is not None else polys[0]
+            polys = [poly_pow(f, k) for f, k in factors]
+            mp = compose(factors, plan) if plan is not None else polys[0]
     comps = tuple(
         ComponentReport(part, route, c, poly, ops)
         for (part, c, _, ops), poly in zip(solved, polys)

@@ -8,6 +8,7 @@ from itertools import product
 
 from lincomp.bench import random_sequence
 from lincomp.field import FieldElement, FieldSpec, make_field
+from lincomp.poly import Poly
 from lincomp.sequence import PeriodicSequence
 
 GF2 = make_field(2)
@@ -27,6 +28,7 @@ __all__ = [
     "all_elements",
     "all_sequences",
     "brute_force_order",
+    "poly_pow_reference",
     "random_sequence",
     "rng",
     "seq",
@@ -62,3 +64,16 @@ def brute_force_order(g: FieldElement) -> int:
         acc = acc * g
         k += 1
     return k
+
+
+def poly_pow_reference(f: Poly, k: int) -> Poly:
+    """f**k by dense square and multiply; f**0 = 1."""
+    result = Poly.one(f.spec)
+    base = f
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result

@@ -156,6 +156,22 @@ class TestSolveCommand:
         assert main(["--input", path]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["file", "stdin", "bench"])
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, monkeypatch, source):
+        raw = b"\xff\xfe p=7 m=1\n1 2 3\n"
+        path = tmp_path / "bad.bin"
+        path.write_bytes(raw)
+        if source == "stdin":
+            stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", stream)
+            argv = ["--input", "-"]
+        else:
+            argv = ["--bench" if source == "bench" else "--input", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not UTF-8" in err
+        assert "Traceback" not in err
+
     def test_missing_input_exit_code(self, capsys):
         assert main([]) == 2
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import GF2, GF7, GF9, all_elements
+from helpers import GF2, GF7, GF9, GF13, all_elements, poly_pow_reference, rng
+from lincomp.field import MixedFieldsError, make_field
 from lincomp.poly import (
     BothZeroError,
     DivideByZeroPolyError,
@@ -14,6 +15,7 @@ from lincomp.poly import (
     one_minus_x_pow,
     poly_gcd_normalized,
     poly_pow,
+    product_of_powers,
     scale_argument,
 )
 
@@ -203,3 +205,70 @@ class TestPolyPow:
         for _ in range(k):
             expected = expected * f
         assert poly_pow(f, k) == expected
+
+
+# p = 2 and odd p, prime fields and extensions of degree 2 to 4
+FROBENIUS_FIELDS = [
+    GF2, make_field(2, 2), GF7, make_field(2, 3), GF9, GF13,
+    make_field(2, 4), make_field(5, 2), make_field(3, 3),
+]
+
+
+def random_factor(spec, r):
+    """A polynomial of degree 1 or 2 whose leading coefficient lies outside
+    GF(p) when m > 1, so the Frobenius map moves it."""
+    elems = all_elements(spec)
+    outside = [e for e in elems if any(e.coeffs[1:])] or elems[1:]
+    low = [r.choice(elems) for _ in range(r.randint(1, 2))]
+    return Poly(spec, low + [r.choice(outside)])
+
+
+class TestProductOfPowers:
+    @pytest.mark.parametrize("spec", FROBENIUS_FIELDS, ids=repr)
+    def test_poly_pow_matches_reference(self, spec):
+        r = rng(f"pow-ref-{spec!r}")
+        p = spec.p
+        ks = sorted({0, 1, p - 1, p, p + 1, p * p - 1, p * p, 3 * p * p}
+                    | {r.randint(0, 3 * p * p) for _ in range(4)})
+        for k in ks:
+            f = random_factor(spec, r)
+            assert poly_pow(f, k) == poly_pow_reference(f, k), (f, k)
+
+    @pytest.mark.parametrize("spec", FROBENIUS_FIELDS, ids=repr)
+    def test_lists_match_reference(self, spec):
+        # exponents sum to at most 3p^2, which keeps the dense reference quick
+        r = rng(f"product-ref-{spec!r}")
+        budget = 3 * spec.p ** 2
+        for count in (1, 2, 3, 4, 4):
+            factors, left = [], budget
+            for _ in range(count):
+                k = r.randint(0, left)
+                left -= k
+                factors.append((random_factor(spec, r), k))
+            factors.append((factors[0][0], r.randint(0, left)))  # a repeated factor
+            expected = Poly.one(spec)
+            for f, k in factors:
+                expected = expected * poly_pow_reference(f, k)
+            assert product_of_powers(spec, factors) == expected, factors
+
+    @pytest.mark.parametrize("spec", [GF2, make_field(2, 3), GF7, GF9, GF13], ids=repr)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_exponents_add(self, spec, data):
+        f = data.draw(polys(spec, 3))
+        a, b = (data.draw(st.integers(0, 3 * spec.p ** 2)) for _ in range(2))
+        assert product_of_powers(spec, [(f, a), (f, b)]) == poly_pow(f, a + b)
+
+    def test_edge_cases(self):
+        one, zero = Poly.one(GF9), Poly.zero(GF9)
+        f = Poly.from_ints(GF9, [[1, 2], [0, 1]])
+        assert product_of_powers(GF9, []) == one
+        assert product_of_powers(GF9, [(f, 0), (zero, 0)]) == one
+        assert product_of_powers(GF9, [(f, 5), (zero, 1)]) == zero
+        assert product_of_powers(GF9, [(one, 10), (f, 1)]) == f
+        with pytest.raises(ValueError):
+            product_of_powers(GF9, [(f, 2), (f, -1)])
+        with pytest.raises(ValueError):
+            product_of_powers(GF9, [(f, 1.0)])
+        with pytest.raises(MixedFieldsError):
+            product_of_powers(GF9, [(p7(1, 1), 2)])

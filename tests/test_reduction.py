@@ -110,7 +110,7 @@ class TestCompose:
     def test_golden_product(self):
         plan = plan_reduction(GF7, 21)
         m7 = poly_pow(Poly.from_ints(GF7, [1, -1]), 7)
-        combined = compose([m7] * 3, plan)
+        combined = compose([(m7, 1)] * 3, plan)
         expected = (
             poly_pow(Poly.from_ints(GF7, [1, -1]), 7)
             * poly_pow(Poly.from_ints(GF7, [1, -4]), 7)
@@ -123,20 +123,20 @@ class TestCompose:
     def test_zero_components(self):
         plan = plan_reduction(GF7, 21)
         one = Poly.one(GF7)
-        assert compose([one] * 3, plan) == one
+        assert compose([(one, 1)] * 3, plan) == one
 
     def test_u2_single_live_component(self):
         plan = plan_reduction(GF7, 10)
         assert isinstance(plan, ReductionPlan) and plan.u == 2
         m1 = oracle_lincomp(seq(GF7, [3, 1, 4, 1, 5])).min_poly
-        combined = compose([Poly.one(GF7), m1], plan)
+        combined = compose([(Poly.one(GF7), 1), (m1, 1)], plan)
         assert combined.degree == m1.degree
         assert combined == scale_argument(m1, plan.roots_b[1].inv())
 
     def test_arity_mismatch(self):
         plan = plan_reduction(GF7, 21)
         with pytest.raises(ArityMismatchError):
-            compose([Poly.one(GF7)], plan)
+            compose([(Poly.one(GF7), 1)], plan)
 
 
 class TestSolveAuto:
@@ -225,7 +225,7 @@ class TestSolveAuto:
         s = random_sequence(GF7, 21, r)
         comps = decompose(s, plan)
         refs = [oracle_lincomp(c) for c in comps]
-        combined = compose([x.min_poly for x in refs], plan)
+        combined = compose([(x.min_poly, 1) for x in refs], plan)
         assert combined == oracle_lincomp(s).min_poly
         for order in [(2, 0, 1), (1, 2, 0), (2, 1, 0)]:
             prod = Poly.one(GF7)
@@ -322,3 +322,25 @@ class TestAntisymmetric:
     def test_rejects_odd_period(self):
         with pytest.raises(ValueError):
             reduce_antisymmetric(seq(GF7, [1, 2, 6]))
+
+
+class TestAssemblyCost:
+    """Assembly stays within 4 u p N operations on the contraction route,
+    whatever the component complexities."""
+
+    @staticmethod
+    def inputs(h):
+        N = 3 * 7 ** h
+        r = rng(f"assembly-cost-{h}")
+        block = random_sequence(GF7, N // 7, r).period
+        yield PeriodicSequence(GF7, block * 7)  # low complexity: every component deficient
+        for _ in range(6 if h < 3 else 1):
+            yield random_sequence(GF7, N, r)
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_compose_ops_linear(self, h):
+        for s in self.inputs(h):
+            report = solve(s)
+            assert report.plan.u == 3 and report.plan.n == 7 ** h
+            assert report.ops_compose <= 4 * 3 * 7 * len(s)
+            assert report.min_poly == oracle_lincomp(s).min_poly
