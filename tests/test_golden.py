@@ -2,11 +2,14 @@
 
 Every case runs ``lincomp.cli.main`` in-process on a fixed input and compares
 its exit code, stderr, and a sha256 of stdout (the sorted-key JSON report
-without ``wall_time_s``, or the text report without its ``wall_time_s``
-line) with ``tests/data/golden_cli.json``. The complexity, algorithm and op
-counts are stored in clear so a failing case shows what moved. One ``--bench``
-run is pinned the same way, with wall times and the text of skipped rows
-left out.
+without ``wall_time_s`` and ``ops``, or the text report without its
+``wall_time_s:`` and ``ops:`` lines) with ``tests/data/golden_cli.json``.
+The op counts are stored in clear, outside the hash, so a change that only
+moves counts leaves every digest as it was and its fixture diff lists exactly
+the counts that moved. The complexity and algorithm are stored in clear too.
+One ``--bench`` run is pinned the same way: wall times and the text of
+skipped rows are left out, and each row's ``ops`` and each summary row's
+``mean_ops``, ``ops_per_n`` and ``ops_per_n2`` are stored in clear.
 
 Regenerate the fixture with ``PYTHONPATH=src python tests/test_golden.py``;
 do so only for a change that is meant to alter the outputs, and say why.
@@ -60,6 +63,8 @@ BENCH_CONFIG = {
     "seed": 5,
     "algorithms": ["auto", "bm", "ggc", "oracle"],
 }
+
+SUMMARY_OPS = ("mean_ops", "ops_per_n", "ops_per_n2")
 
 
 def _seeded_text(label: str, p: int, m: int, n: int, zero: bool) -> str:
@@ -124,13 +129,17 @@ def record_solve(argv: list[str], workdir: Path) -> dict:
         rec.update(
             complexity=report["complexity"],
             algorithm=report["algorithm"],
-            ops=report["ops"],
+            ops=report.pop("ops"),
         )
         out = json.dumps(report, sort_keys=True)
     else:
-        out = "\n".join(
-            line for line in out.splitlines() if not line.startswith("wall_time_s:")
-        )
+        kept = []
+        for line in out.splitlines():
+            if line.startswith("ops:"):
+                rec["ops"] = line
+            elif not line.startswith("wall_time_s:"):
+                kept.append(line)
+        out = "\n".join(kept)
     rec["stdout_sha256"] = _sha256(out)
     return rec
 
@@ -139,13 +148,23 @@ def record_bench(workdir: Path) -> dict:
     (workdir / "bench.json").write_text(json.dumps(BENCH_CONFIG), encoding="utf-8")
     code, out, err = _run_cli(["--bench", "bench.json", "--json"], workdir)
     result = json.loads(out)
+    row_ops = []
     for row in result["rows"]:
         row.pop("wall_time_s", None)
+        row_ops.append(row.pop("ops", None))
         if "skipped" in row:
             row["skipped"] = True
+    summary_ops = []
     for row in result["summary"]:
         row.pop("mean_wall_s", None)
-    return {"exit": code, "stderr": err, "sha256": _sha256(json.dumps(result, sort_keys=True))}
+        summary_ops.append({key: row.pop(key) for key in SUMMARY_OPS})
+    return {
+        "exit": code,
+        "stderr": err,
+        "sha256": _sha256(json.dumps(result, sort_keys=True)),
+        "row_ops": row_ops,
+        "summary_ops": summary_ops,
+    }
 
 
 def write_inputs(workdir: Path) -> None:
