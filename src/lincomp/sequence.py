@@ -99,7 +99,9 @@ def verify_recurrence(s: PeriodicSequence, m: Poly) -> bool:
     """Check that m = 1 - (c_1 x + ... + c_k x^k) generates the sequence.
 
     The recurrence a_{i+k} = c_1 a_{i+k-1} + ... + c_k a_i is checked for
-    every i in [0, 2N), which covers all wraparound alignments; k = 0
+    every i in [0, N): indices are taken mod N, so i and i + N give the same
+    equation, and one period covers every wraparound alignment. Each check
+    costs one multiplication and one addition per nonzero tap c_t; k = 0
     accepts only the all-zero sequence.
     """
     if m.constant_term() != s.spec.one():
@@ -108,12 +110,11 @@ def verify_recurrence(s: PeriodicSequence, m: Poly) -> bool:
     n = len(s)
     if k > n:
         raise ValueError("connection polynomial degree exceeds the period")
-    for i in range(2 * n):
+    taps = [(t, c) for t, c in enumerate(m.coeffs) if t and not c.is_zero()]
+    for i in range(n):
         acc = s.at(i + k)
-        for t in range(1, k + 1):
-            mt = m.coeffs[t]
-            if not mt.is_zero():
-                acc = acc + mt * s.at(i + k - t)
+        for t, c in taps:
+            acc = acc + c * s.at(i + k - t)
         if not acc.is_zero():
             return False
     return True

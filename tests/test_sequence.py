@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from helpers import GF2, GF3, GF7, GF9, all_sequences, random_sequence, rng, seq
+from lincomp.opcount import OpCounter
 from lincomp.poly import Poly, one_minus_x_pow, poly_gcd_normalized, poly_pow
 from lincomp.sequence import (
     BadConnectionPolyError,
@@ -112,6 +113,19 @@ class TestVerifyRecurrence:
     def test_too_long_poly_rejected(self):
         with pytest.raises(ValueError):
             verify_recurrence(seq(GF7, [1, 2]), Poly.from_ints(GF7, [1, 0, 0, 1]))
+
+    @pytest.mark.parametrize("spec,n", [(GF7, 21), (GF9, 24)], ids=["gf7", "gf9"])
+    def test_valid_poly_checks_one_period(self, spec, n):
+        # one multiplication and one addition per nonzero tap, for each of
+        # the N equations of one period
+        r = rng(f"verify-cost-{spec.p}-{spec.m}")
+        for _ in range(5):
+            s = random_sequence(spec, n, r)
+            m = oracle_lincomp(s).min_poly
+            taps = sum(not c.is_zero() for c in m.coeffs[1:])
+            with OpCounter() as ctr:
+                assert verify_recurrence(s, m)
+            assert ctr.total == 2 * n * taps
 
     def test_wraparound_violation_detected(self):
         # a_{i+1} = a_i holds inside one period but not across the boundary
