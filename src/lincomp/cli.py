@@ -116,7 +116,7 @@ def parse_sequence_file(source) -> PeriodicSequence:
         stream: TextIO = source
         lines = stream.read().splitlines()
     elif source == "-":
-        lines = sys.stdin.read().splitlines()
+        lines = sys.stdin.buffer.read().decode("utf-8").splitlines()
     else:
         lines = Path(source).read_text(encoding="utf-8").splitlines()
     spec = None

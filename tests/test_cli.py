@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,7 @@ from lincomp.field import make_field
 from lincomp.poly import Poly
 from lincomp.sequence import LinCompResult, oracle_lincomp
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 N21_TEXT = "p=7 m=1\n1 2 3 4 0 1 5 2 0 1 1 3 0 6 1 2 5 6 3 3 1\n"
 
 
@@ -156,19 +161,32 @@ class TestSolveCommand:
         assert main(["--input", path]) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("source", ["file", "stdin", "bench"])
+    @pytest.mark.parametrize("source", ["file", "stdin", "stdin-process", "bench"])
     def test_non_utf8_input_exits_2(self, tmp_path, capsys, monkeypatch, source):
         raw = b"\xff\xfe p=7 m=1\n1 2 3\n"
         path = tmp_path / "bad.bin"
         path.write_bytes(raw)
-        if source == "stdin":
-            stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-            monkeypatch.setattr("sys.stdin", stream)
-            argv = ["--input", "-"]
+        if source == "stdin-process":
+            # a real interpreter stdin, decoding as it does under a C or
+            # POSIX locale, where undecodable bytes become lone surrogates
+            env = dict(os.environ, PYTHONIOENCODING="utf-8:surrogateescape")
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "lincomp", "--input", "-"],
+                input=raw, capture_output=True, env=env, timeout=60,
+            )
+            code, err = proc.returncode, proc.stderr.decode("utf-8", "replace")
         else:
-            argv = ["--bench" if source == "bench" else "--input", str(path)]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
+            if source == "stdin":
+                stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+                monkeypatch.setattr("sys.stdin", stream)
+                argv = ["--input", "-"]
+            else:
+                argv = ["--bench" if source == "bench" else "--input", str(path)]
+            code, err = main(argv), capsys.readouterr().err
+        assert code == 2
         assert err.startswith("error:") and "not UTF-8" in err
         assert "Traceback" not in err
 
@@ -239,7 +257,8 @@ class TestSolveCommand:
         assert outputs[0] == outputs[1]
 
     def test_stdin_input(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("p=7 m=1\n1 1 1\n"))
+        stream = io.TextIOWrapper(io.BytesIO(b"p=7 m=1\n1 1 1\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stream)
         code = main(["--input", "-", "--json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0
