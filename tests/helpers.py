@@ -28,6 +28,7 @@ __all__ = [
     "all_elements",
     "all_sequences",
     "brute_force_order",
+    "ggc_fold_reference",
     "poly_pow_reference",
     "random_sequence",
     "rng",
@@ -77,3 +78,23 @@ def poly_pow_reference(f: Poly, k: int) -> Poly:
         if k:
             base = base * base
     return result
+
+
+def ggc_fold_reference(values, spec: FieldSpec) -> list[tuple[FieldElement, ...]]:
+    """All p contraction combinations b^(mu) = sum_j binom(p-j-1, mu) * s^(j),
+    mu = 0..p-1, built from Pascal's triangle mod p with scalar multiples."""
+    p = spec.p
+    block = len(values) // p
+    blocks = [tuple(values[i * block : (i + 1) * block]) for i in range(p)]
+    binom = [[1]]
+    for a in range(1, p):
+        prev = binom[-1]
+        binom.append([1] + [(prev[i - 1] + prev[i]) % p for i in range(1, a)] + [1])
+    out = []
+    for mu in range(p):
+        acc = [spec.zero()] * block
+        for j in range(p - mu):
+            coef = spec.scalar(binom[p - j - 1][mu])
+            acc = [a + coef * v for a, v in zip(acc, blocks[j])]
+        out.append(tuple(acc))
+    return out

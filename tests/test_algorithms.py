@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from helpers import GF2, GF7, GF9, GF13, all_sequences, random_sequence, rng, seq
+from helpers import (
+    GF2,
+    GF3,
+    GF5,
+    GF7,
+    GF9,
+    GF13,
+    all_sequences,
+    ggc_fold_reference,
+    random_sequence,
+    rng,
+    seq,
+)
 from lincomp.algorithms import (
     BadLengthError,
     EmptyPrefixError,
@@ -13,10 +25,40 @@ from lincomp.algorithms import (
     ggc_fold,
     ggc_steps,
 )
+from lincomp.field import make_field
 from lincomp.opcount import OpCounter
 from lincomp.poly import Poly, one_minus_x_pow, poly_pow
 from lincomp.reduction import AlgorithmInapplicableError, solve
-from lincomp.sequence import oracle_lincomp
+from lincomp.sequence import PeriodicSequence, oracle_lincomp
+
+# prime fields and p = 2 and odd-p extensions, for the contraction's folds
+FOLD_FIELDS = [
+    GF2,
+    GF3,
+    make_field(2, 2),
+    GF5,
+    GF7,
+    make_field(2, 3),
+    GF9,
+    GF13,
+    make_field(5, 2),
+    make_field(3, 3),
+]
+
+
+def _field_id(spec):
+    return f"GF{spec.p}^{spec.m}"
+
+
+def _fold_inputs(spec, n, label):
+    """Random tuples, then a repeated block and a constant tuple, on which
+    every fold but the last vanishes."""
+    r = rng(label)
+    out = [random_sequence(spec, n, r).period for _ in range(4)]
+    block = random_sequence(spec, n // spec.p, r).period
+    out.append(block * spec.p)
+    out.append((spec.element([r.randrange(1, spec.p)] + [0] * (spec.m - 1)),) * n)
+    return out
 
 
 class TestBerlekampMassey:
@@ -80,7 +122,7 @@ class TestGgcFold:
     def test_p2_is_the_classic_rule(self):
         s = seq(GF2, [1, 0, 1, 1])
         left, right = s.period[:2], s.period[2:]
-        b = ggc_fold(s.period, GF2)
+        b = list(ggc_fold(s.period, GF2))
         assert b[0] == tuple(l + r for l, r in zip(left, right))
         assert b[1] == left
 
@@ -88,7 +130,7 @@ class TestGgcFold:
         # binom(2,0)=binom(1,0)=binom(0,0)=1; binom(2,1)=2, binom(1,1)=1; binom(2,2)=1
         s = seq(GF9, [[1, 0], [0, 1], [2, 2]])
         s0, s1, s2 = s.period
-        b = ggc_fold(s.period, GF9)
+        b = list(ggc_fold(s.period, GF9))
         two = GF9.scalar(2)
         assert b[0] == (s0 + s1 + s2,)
         assert b[1] == (two * s0 + s1,)
@@ -104,6 +146,18 @@ class TestGgcFold:
             ggc_fold(tuple([GF7.zero()] * 21), GF7)
         with pytest.raises(BadLengthError):
             ggc_fold((GF7.one(),), GF7)
+
+    @pytest.mark.parametrize("h", [1, 2])
+    @pytest.mark.parametrize("spec", FOLD_FIELDS, ids=_field_id)
+    def test_matches_binomial_reference(self, spec, h):
+        for values in _fold_inputs(spec, spec.p**h, f"fold-ref-{spec.p}-{spec.m}-{h}"):
+            assert list(ggc_fold(values, spec)) == ggc_fold_reference(values, spec)
+
+    def test_repeated_block_folds_vanish_but_the_last(self):
+        block = seq(GF7, [3, 0, 5, 1, 1, 6, 2]).period
+        folds = list(ggc_fold(block * 7, GF7))
+        assert all(e.is_zero() for b in folds[:-1] for e in b)
+        assert folds[-1] == block
 
 
 class TestGgcComplexity:
@@ -164,6 +218,19 @@ class TestGgcComplexity:
             with OpCounter() as ctr:
                 ggc_complexity(s)
             assert ctr.total <= 2 * spec.p ** 2 * n
+
+    @pytest.mark.parametrize("spec", FOLD_FIELDS, ids=_field_id)
+    def test_running_sum_cost(self, spec):
+        # a level computes running sums only up to its first nonzero fold:
+        # fewer than p*N/2 additions in all, the most when every fold but the
+        # last vanishes at every level, as on a constant sequence
+        p, n = spec.p, spec.p**2
+        inputs = _fold_inputs(spec, n, f"ggc-cost-{p}-{spec.m}")
+        for values in inputs:
+            with OpCounter() as ctr:
+                ggc_complexity(PeriodicSequence(spec, values))
+            assert ctr.total < p * n / 2
+        assert ctr.total == (p - 1) * (n + n // p) // 2
 
     def test_level_invariants(self):
         r = rng("ggc-states")
