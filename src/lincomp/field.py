@@ -10,6 +10,10 @@ deterministic and reproducible across runs.
 Every add/sub/mul/inv on FieldElement values reports exactly one operation
 to the active OpCounter; pow reports one per multiplication it performs.
 Constructing elements and comparing them is free.
+
+The array helpers at the end (to_array, from_array, mul_array) hold many
+elements as one (N, m) int64 coordinate array for the vectorized kernels.
+They count nothing: each kernel reports its operations in bulk.
 """
 
 from __future__ import annotations
@@ -17,8 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain as _chain
 from itertools import product as _cartesian
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .opcount import tally
 
@@ -528,3 +535,36 @@ def nth_root_coprime(spec: FieldSpec, x: FieldElement, n: int) -> FieldElement:
     if math.gcd(n, q) != 1:
         raise NotCoprimeError(f"gcd({n}, {q}) != 1")
     return x ** pow(n, -1, q)
+
+
+# -- array form for the vectorized kernels. Coordinates are < p, so a product
+# of two is < p^2 and the m^2 products reduced through _product_matrix stay
+# below m^2 p^3 <= 2^60 for every field under MAX_FIELD_ORDER.
+
+
+def to_array(spec: FieldSpec, elems: Sequence[FieldElement]) -> np.ndarray:
+    """Coordinates of the elements as an (N, m) int64 array."""
+    flat = _chain.from_iterable(e.coeffs for e in elems)
+    return np.fromiter(flat, dtype=np.int64, count=len(elems) * spec.m).reshape(-1, spec.m)
+
+
+def from_array(spec: FieldSpec, arr: np.ndarray) -> tuple[FieldElement, ...]:
+    """The elements whose coordinates are the rows of a reduced (N, m) array."""
+    return tuple(FieldElement(spec, tuple(row)) for row in arr.tolist())
+
+
+@lru_cache(maxsize=64)
+def _product_matrix(spec: FieldSpec) -> np.ndarray:
+    """The (m^2, m) matrix whose row i*m + j holds the coordinates of t^(i+j)."""
+    m = spec.m
+    tpow = [tuple(int(i == k) for i in range(m)) for k in range(m)] + list(spec._xpow)
+    table = np.array([tpow[i + j] for i in range(m) for j in range(m)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def mul_array(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Element-wise products of two broadcastable (..., m) coordinate arrays."""
+    conv = a[..., :, None] * b[..., None, :]
+    conv = conv.reshape(conv.shape[:-2] + (spec.m * spec.m,))
+    return conv @ _product_matrix(spec) % spec.p

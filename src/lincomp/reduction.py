@@ -6,9 +6,10 @@ where b_j is the unique n-th root of the j-th u-th root of unity.
 Complexities add across the components and the connection polynomial is the
 product of the component polynomials with arguments scaled by b_j^{-1}.
 
-The decomposition follows a fixed accounting scheme: component 0 by direct
-summation, one incremental power table per remaining root, then
-multiply-accumulate, for at most 3(u-1)N field operations in total.
+The decomposition runs as one array kernel and is counted by a fixed scheme:
+component 0 by direct summation, one incremental power table per remaining
+root, then multiply-accumulate, for at most 3(u-1)N field operations in
+total.
 
 solve() is the one place that picks a strategy; the CLI, the bench harness
 and the tests all go through it, and it alone counts the operations of each
@@ -19,16 +20,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .algorithms import _exact_log, berlekamp_massey, ggc_complexity
 from .field import (
     FieldElement,
     FieldSpec,
+    from_array,
+    mul_array,
     nth_root_coprime,
     prime_factors,
+    to_array,
     uth_roots_of_unity,
 )
-from .opcount import OpCounter
+from .opcount import OpCounter, tally
 from .poly import Poly, poly_pow, product_of_powers, scale_argument
 from .sequence import LinCompResult, PeriodicSequence, oracle_lincomp
 
@@ -85,11 +92,14 @@ class ReductionPlan:
             raise ValueError("the first root of each kind must be 1")
         if len(set(self.roots_x)) != self.u or len(set(self.roots_b)) != self.u:
             raise ValueError("roots must be distinct")
+        if any(x ** self.u != one for x in self.roots_x):
+            raise ValueError(f"roots_x must be {self.u}-th roots of unity")
         for x, b in zip(self.roots_x, self.roots_b):
             if b ** self.n != x:
                 raise ValueError("roots_b[i]^n must equal roots_x[i]")
 
 
+@lru_cache(maxsize=64)
 def plan_reduction(spec: FieldSpec, N: int) -> ReductionPlan | Inapplicable:
     """Choose the unique admissible split N = u*n, or explain why none exists.
 
@@ -97,6 +107,9 @@ def plan_reduction(spec: FieldSpec, N: int) -> ReductionPlan | Inapplicable:
     multiplicity in N to u (otherwise n would not be coprime to q), so u is
     forced. Returns Inapplicable when u = 1 (nothing to split) or when that
     forced u does not divide q.
+
+    Results are cached by value: FieldSpec, ReductionPlan and Inapplicable
+    are frozen, and equal specs (one per parsed file) share one plan.
     """
     if N < 1:
         raise ValueError("period must be >= 1")
@@ -120,42 +133,45 @@ def plan_reduction(spec: FieldSpec, N: int) -> ReductionPlan | Inapplicable:
     return ReductionPlan(spec, N, u, n, roots_x, roots_b)
 
 
+def _root_powers(spec: FieldSpec, b: FieldElement, count: int) -> np.ndarray:
+    """b^0, ..., b^(count-1) as a (count, m) coordinate array, by doubling:
+    a table of b^0..b^L times b^L is b^L..b^(2L)."""
+    table = to_array(spec, [spec.one(), b])
+    while len(table) < count:
+        table = np.concatenate([table, mul_array(spec, table, table[-1:])[1:]])
+    return table[:count]
+
+
 def decompose(s: PeriodicSequence, plan: ReductionPlan) -> list[PeriodicSequence]:
     """Split a period-N sequence into the plan's u period-n components.
 
-    Cost contract: (u-1)N/u additions for component 0, at most (u-1)N
-    multiplications for the incremental power tables, and (2u-1)(u-1)N/u
-    operations of multiply-accumulate for the remaining components, within
-    the 3(u-1)N budget overall.
+    The kernel works on the (N, m) coordinate array of the period. Component
+    0 is the sum of its u blocks of n rows. Every b_j is itself a u-th root
+    of unity: b_j = x_j^(n^-1 mod q), so b_j^u = (x_j^u)^(n^-1 mod q) = 1.
+    Hence b_j^(kn+i) is looked up, at index (kn+i) mod u, in a table of the
+    u powers b_j^0..b_j^(u-1), and component j multiplies the period by the
+    looked-up powers and sums the u blocks. Temporaries are O(N m^2), for one
+    root at a time.
+
+    Cost contract, unchanged from the element-wise loop it replaces and
+    reported in one tally: (u-1)n additions for component 0, then per
+    remaining root N-2 multiplications for an incremental power table and
+    n(2u-1) for the multiply-accumulate, within the 3(u-1)N budget overall.
     """
     if s.spec != plan.spec or len(s) != plan.N:
         raise PeriodMismatchError(
             f"sequence (period {len(s)}) does not match the plan (period {plan.N})"
         )
-    u, n, N = plan.u, plan.n, plan.N
-    vals = s.period
-    comps = []
-    first = []
-    for i in range(n):
-        acc = vals[i]
-        for k in range(1, u):
-            acc = acc + vals[k * n + i]
-        first.append(acc)
-    comps.append(PeriodicSequence(plan.spec, tuple(first)))
-    for j in range(1, u):
-        b = plan.roots_b[j]
-        powers = [plan.spec.one(), b]
-        for _ in range(2, N):
-            powers.append(powers[-1] * b)
-        rows = []
-        for i in range(n):
-            acc = vals[i] * powers[i]
-            for k in range(1, u):
-                idx = k * n + i
-                acc = acc + vals[idx] * powers[idx]
-            rows.append(acc)
-        comps.append(PeriodicSequence(plan.spec, tuple(rows)))
-    return comps
+    spec = s.spec
+    u, n, N, p = plan.u, plan.n, plan.N, spec.p
+    vals = to_array(spec, s.period)
+    comps = [vals.reshape(u, n, spec.m).sum(0) % p]
+    cycle = np.arange(N) % u
+    for b in plan.roots_b[1:]:
+        terms = mul_array(spec, vals, _root_powers(spec, b, u)[cycle])
+        comps.append(terms.reshape(u, n, spec.m).sum(0) % p)
+    tally((u - 1) * n + (u - 1) * ((N - 2) + n * (2 * u - 1)))
+    return [PeriodicSequence(spec, from_array(spec, c)) for c in comps]
 
 
 def compose(factors: list[tuple[Poly, int]], plan: ReductionPlan) -> Poly:

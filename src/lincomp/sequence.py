@@ -12,7 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .field import FieldElement, FieldSpec
+import numpy as np
+
+from .field import FieldElement, FieldSpec, mul_array, to_array
+from .opcount import tally
 from .poly import Poly, one_minus_x_pow, poly_gcd_normalized
 
 
@@ -100,9 +103,12 @@ def verify_recurrence(s: PeriodicSequence, m: Poly) -> bool:
 
     The recurrence a_{i+k} = c_1 a_{i+k-1} + ... + c_k a_i is checked for
     every i in [0, N): indices are taken mod N, so i and i + N give the same
-    equation, and one period covers every wraparound alignment. Each check
-    costs one multiplication and one addition per nonzero tap c_t; k = 0
-    accepts only the all-zero sequence.
+    equation, and one period covers every wraparound alignment. All N
+    residuals are computed at once on the (N, m) coordinate array, one
+    rotated copy of the period per nonzero tap. The count is that of
+    checking the equations in order up to the first one that fails: one
+    multiplication and one addition per nonzero tap c_t for each equation
+    checked. k = 0 accepts only the all-zero sequence.
     """
     if m.constant_term() != s.spec.one():
         raise BadConnectionPolyError("connection polynomial must have constant term 1")
@@ -110,11 +116,14 @@ def verify_recurrence(s: PeriodicSequence, m: Poly) -> bool:
     n = len(s)
     if k > n:
         raise ValueError("connection polynomial degree exceeds the period")
-    taps = [(t, c) for t, c in enumerate(m.coeffs) if t and not c.is_zero()]
-    for i in range(n):
-        acc = s.at(i + k)
-        for t, c in taps:
-            acc = acc + c * s.at(i + k - t)
-        if not acc.is_zero():
-            return False
-    return True
+    spec = s.spec
+    taps = [t for t, c in enumerate(m.coeffs) if t and not c.is_zero()]
+    vals = to_array(spec, s.period)
+    # row i of np.roll(vals, t - k) is a_{i+k-t}
+    resid = np.roll(vals, -k, axis=0)
+    for t, c in zip(taps, to_array(spec, [m.coeffs[t] for t in taps])):
+        resid += mul_array(spec, np.roll(vals, t - k, axis=0), c)
+    failing = np.flatnonzero((resid % spec.p).any(axis=1))
+    checked = int(failing[0]) + 1 if len(failing) else n
+    tally(2 * len(taps) * checked)
+    return not len(failing)

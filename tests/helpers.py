@@ -9,6 +9,7 @@ from itertools import product
 from lincomp.bench import random_sequence
 from lincomp.field import FieldElement, FieldSpec, make_field
 from lincomp.poly import Poly
+from lincomp.reduction import ReductionPlan
 from lincomp.sequence import PeriodicSequence
 
 GF2 = make_field(2)
@@ -18,6 +19,20 @@ GF7 = make_field(7)
 GF13 = make_field(13)
 GF9 = make_field(3, 2)
 
+# the differential-test field matrix: p = 2 extensions, odd-p extensions,
+# the benchmark's GF(2^8) modulus and the largest prime field under the cap
+GF4 = make_field(2, 2)
+GF8 = make_field(2, 3)
+GF16 = make_field(2, 4)
+GF25 = make_field(5, 2)
+GF27 = make_field(3, 3)
+GF125 = make_field(5, 3)
+GF256 = make_field(2, 8, (1, 0, 0, 0, 1, 1, 0, 1, 1))
+GF1048573 = make_field(1048573)
+FIELD_MATRIX = (
+    GF2, GF4, GF7, GF8, GF9, GF13, GF16, GF25, GF27, GF125, GF256, GF1048573
+)
+
 __all__ = [
     "GF2",
     "GF3",
@@ -25,14 +40,25 @@ __all__ = [
     "GF7",
     "GF13",
     "GF9",
+    "GF4",
+    "GF8",
+    "GF16",
+    "GF25",
+    "GF27",
+    "GF125",
+    "GF256",
+    "GF1048573",
+    "FIELD_MATRIX",
     "all_elements",
     "all_sequences",
     "brute_force_order",
+    "decompose_reference",
     "ggc_fold_reference",
     "poly_pow_reference",
     "random_sequence",
     "rng",
     "seq",
+    "verify_recurrence_reference",
 ]
 
 
@@ -98,3 +124,47 @@ def ggc_fold_reference(values, spec: FieldSpec) -> list[tuple[FieldElement, ...]
             acc = [a + coef * v for a, v in zip(acc, blocks[j])]
         out.append(tuple(acc))
     return out
+
+
+def decompose_reference(s: PeriodicSequence, plan: ReductionPlan) -> list[PeriodicSequence]:
+    """The split element by element: component 0 by block sums, then per
+    remaining root an incremental table b^0..b^(N-1) and multiply-accumulate.
+    Every operation is counted by the FieldElement operators."""
+    u, n, N = plan.u, plan.n, plan.N
+    vals = s.period
+    first = []
+    for i in range(n):
+        acc = vals[i]
+        for k in range(1, u):
+            acc = acc + vals[k * n + i]
+        first.append(acc)
+    comps = [PeriodicSequence(plan.spec, tuple(first))]
+    for j in range(1, u):
+        b = plan.roots_b[j]
+        powers = [plan.spec.one(), b]
+        for _ in range(2, N):
+            powers.append(powers[-1] * b)
+        rows = []
+        for i in range(n):
+            acc = vals[i] * powers[i]
+            for k in range(1, u):
+                idx = k * n + i
+                acc = acc + vals[idx] * powers[idx]
+            rows.append(acc)
+        comps.append(PeriodicSequence(plan.spec, tuple(rows)))
+    return comps
+
+
+def verify_recurrence_reference(s: PeriodicSequence, m: Poly) -> bool:
+    """The recurrence check equation by equation, stopping at the first that
+    fails; one multiplication and one addition per nonzero tap and equation.
+    Takes a valid connection polynomial (constant term 1, degree <= N)."""
+    k = m.degree
+    taps = [(t, c) for t, c in enumerate(m.coeffs) if t and not c.is_zero()]
+    for i in range(len(s)):
+        acc = s.at(i + k)
+        for t, c in taps:
+            acc = acc + c * s.at(i + k - t)
+        if not acc.is_zero():
+            return False
+    return True

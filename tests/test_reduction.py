@@ -2,7 +2,26 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import GF7, GF9, GF13, random_sequence, rng, seq
+from helpers import (
+    GF2,
+    GF4,
+    GF7,
+    GF8,
+    GF9,
+    GF13,
+    GF16,
+    GF25,
+    GF27,
+    GF125,
+    GF256,
+    GF1048573,
+    decompose_reference,
+    random_sequence,
+    rng,
+    seq,
+)
+from lincomp.field import make_field
+from lincomp.opcount import OpCounter
 from lincomp.poly import Poly, one_minus_x_pow, poly_gcd_normalized, poly_pow, scale_argument
 from lincomp.reduction import (
     ALGORITHMS,
@@ -71,6 +90,24 @@ class TestPlan:
                 assert x ** plan.u == spec.one()
                 assert b ** plan.n == x
 
+    def test_roots_x_must_be_roots_of_unity(self):
+        # 3 and 5 are not cube roots of unity mod 7; b^7 = b in GF(7), so
+        # roots_b = roots_x passes the n-th root check
+        roots = tuple(GF7.scalar(v) for v in (1, 3, 5))
+        with pytest.raises(ValueError, match="roots of unity"):
+            ReductionPlan(GF7, 21, 3, 7, roots, roots)
+        plan = plan_reduction(GF7, 21)
+        assert ReductionPlan(GF7, 21, 3, 7, plan.roots_x, plan.roots_b) == plan
+
+    def test_plans_are_cached_by_value(self):
+        spec_a, spec_b = make_field(7), make_field(7)
+        assert spec_a is not spec_b and spec_a == spec_b
+        assert plan_reduction(spec_a, 21) is plan_reduction(spec_b, 21)
+        assert plan_reduction(spec_a, 13) is plan_reduction(spec_b, 13)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                plan_reduction(spec_a, 0)
+
 
 class TestDecompose:
     def test_golden_n21(self):
@@ -104,6 +141,60 @@ class TestDecompose:
         plan = plan_reduction(GF7, 21)
         with pytest.raises(PeriodMismatchError):
             decompose(seq(GF7, [1] * 20), plan)
+
+
+# (field, periods N = u*n); each field gets one period with n = 1
+KERNEL_CASES = [
+    pytest.param(spec, N, id=f"{spec!r}-N{N}")
+    for spec, periods in [
+        (GF4, (6, 12, 3)),
+        (GF7, (21, 42, 10, 6)),
+        (GF8, (14, 28, 7)),
+        (GF9, (40, 72, 8)),
+        (GF13, (39, 156, 12)),
+        (GF16, (30, 48, 15)),
+        (GF25, (40, 120, 24)),
+        (GF27, (78, 117, 26)),
+        (GF125, (155, 20, 31)),
+        (GF256, (272, 30, 17)),
+        (GF1048573, (60, 95, 12)),
+    ]
+    for N in periods
+]
+
+
+class TestDecomposeKernel:
+    """The array kernel against the element-wise reference: identical
+    components and identical operation counts."""
+
+    @staticmethod
+    def assert_matches_reference(s, plan):
+        with OpCounter() as ref_ops:
+            expected = decompose_reference(s, plan)
+        with OpCounter() as ops:
+            got = decompose(s, plan)
+        assert got == expected
+        u, n, N = plan.u, plan.n, plan.N
+        assert ops.total == ref_ops.total == (u - 1) * n + (u - 1) * ((N - 2) + n * (2 * u - 1))
+
+    @pytest.mark.parametrize("spec,N", KERNEL_CASES)
+    def test_matches_reference(self, spec, N):
+        plan = plan_reduction(spec, N)
+        assert isinstance(plan, ReductionPlan)
+        r = rng(f"kernel-{spec!r}-{N}")
+        top = spec.element([spec.p - 1] * spec.m)
+        inputs = [random_sequence(spec, N, r) for _ in range(2)]
+        inputs += [PeriodicSequence(spec, (spec.zero(),) * N), PeriodicSequence(spec, (top,) * N)]
+        for s in inputs:
+            self.assert_matches_reference(s, plan)
+
+    def test_identity_plan_over_gf2(self):
+        # q = 1 over GF(2): the only plan has u = 1 and returns the sequence
+        one = GF2.one()
+        plan = ReductionPlan(GF2, 8, 1, 8, (one,), (one,))
+        s = random_sequence(GF2, 8, rng("kernel-gf2"))
+        self.assert_matches_reference(s, plan)
+        assert decompose(s, plan) == [s]
 
 
 class TestCompose:

@@ -2,7 +2,18 @@ from itertools import product
 
 import pytest
 
-from helpers import GF2, GF3, GF7, GF9, all_sequences, random_sequence, rng, seq
+from helpers import (
+    FIELD_MATRIX,
+    GF2,
+    GF3,
+    GF7,
+    GF9,
+    all_sequences,
+    random_sequence,
+    rng,
+    seq,
+    verify_recurrence_reference,
+)
 from lincomp.opcount import OpCounter
 from lincomp.poly import Poly, one_minus_x_pow, poly_gcd_normalized, poly_pow
 from lincomp.sequence import (
@@ -131,6 +142,89 @@ class TestVerifyRecurrence:
         # a_{i+1} = a_i holds inside one period but not across the boundary
         s = seq(GF7, [2, 2, 2, 3])
         assert not verify_recurrence(s, Poly.from_ints(GF7, [1, -1]))
+
+
+def random_element(spec, r, nonzero=False):
+    while True:
+        e = spec.element([r.randrange(spec.p) for _ in range(spec.m)])
+        if e or not nonzero:
+            return e
+
+
+class TestVerifyRecurrenceKernel:
+    """The array check against the equation-by-equation reference: the same
+    verdict and the same count, 2 * taps per equation up to the first that
+    fails."""
+
+    N = 12
+
+    @staticmethod
+    def check(s, m):
+        with OpCounter() as ref_ops:
+            expected = verify_recurrence_reference(s, m)
+        with OpCounter() as ops:
+            got = verify_recurrence(s, m)
+        assert got == expected
+        assert ops.total == ref_ops.total
+        return got, ops.total
+
+    @staticmethod
+    def taps(m):
+        return sum(not c.is_zero() for c in m.coeffs[1:])
+
+    @pytest.mark.parametrize("spec", FIELD_MATRIX, ids=repr)
+    def test_valid_polynomials(self, spec):
+        N = self.N
+        r = rng(f"verify-kernel-valid-{spec!r}")
+        top = spec.element([spec.p - 1] * spec.m)
+        inputs = [random_sequence(spec, N, r) for _ in range(3)]
+        inputs += [PeriodicSequence(spec, (spec.zero(),) * N), PeriodicSequence(spec, (top,) * N)]
+        for s in inputs:
+            m = oracle_lincomp(s).min_poly
+            assert self.check(s, m) == (True, 2 * N * self.taps(m))
+
+    @pytest.mark.parametrize("spec", FIELD_MATRIX, ids=repr)
+    def test_failing_at_first_equation(self, spec):
+        # a block repeated twice has complexity k < N, so a_k enters
+        # equation 0 only through the constant term: raising it breaks
+        # equation 0
+        r = rng(f"verify-kernel-first-{spec!r}")
+        for _ in range(3):
+            block = [random_element(spec, r) for _ in range(self.N // 2)]
+            m = oracle_lincomp(PeriodicSequence(spec, tuple(block * 2))).min_poly
+            bad = block * 2
+            bad[m.degree] = bad[m.degree] + spec.one()
+            assert self.check(PeriodicSequence(spec, tuple(bad)), m) == (False, 2 * self.taps(m))
+
+    @pytest.mark.parametrize("spec", FIELD_MATRIX, ids=repr)
+    def test_failing_at_last_equation(self, spec):
+        # run a random recurrence of degree 1 or 2 forward from random start
+        # values; keep the inputs whose first broken equation is the last.
+        # N = 11 is prime, so over GF(2) the periods 2 and 3 of these
+        # recurrences do not divide it
+        N = 11
+        r = rng(f"verify-kernel-last-{spec!r}")
+        found = 0
+        for _ in range(500):
+            k = r.choice((1, 2))
+            coeffs = [spec.one()] + [random_element(spec, r) for _ in range(k - 1)]
+            m = Poly(spec, coeffs + [random_element(spec, r, nonzero=True)])
+            a = [random_element(spec, r) for _ in range(k)]
+            for i in range(N - k):
+                acc = spec.zero()
+                for t in range(1, k + 1):
+                    acc = acc - m.coeffs[t] * a[i + k - t]
+                a.append(acc)
+            s = PeriodicSequence(spec, tuple(a))
+            with OpCounter() as ref_ops:
+                ok = verify_recurrence_reference(s, m)
+            if ok or ref_ops.total != 2 * N * self.taps(m):
+                continue
+            assert self.check(s, m) == (False, 2 * N * self.taps(m))
+            found += 1
+            if found == 3:
+                break
+        assert found == 3
 
 
 class TestMinimality:
