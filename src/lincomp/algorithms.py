@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, from_array, mul_matrices, scale_array, to_array
 from .opcount import tally
 from .poly import Poly
 from .sequence import LinCompResult, PeriodicSequence
@@ -44,6 +44,19 @@ def berlekamp_massey(prefix: Sequence[FieldElement], spec: FieldSpec) -> LinComp
     recurrence a_{i+k} = c_1 a_{i+k-1} + ... + c_k a_i. To analyze a
     period-N sequence, pass two full periods; the result then equals the gcd
     oracle in both the complexity and the polynomial.
+
+    The iteration runs on the (T, m) coordinate array s of the prefix, for
+    every GF(p^m). Row block T-1-k of `mats` is the multiplication matrix of
+    s_k, so at step n the taps c_0 = 1, c_1, ..., c_L meet s_n, s_{n-1},
+    ..., s_{n-L} in one contiguous slice, and the discrepancy d is one
+    product of the flattened taps with that slice. The polynomial update
+    subtracts f * b for f = d / (last nonzero discrepancy). All of it stays
+    exact in int64 while T m p^2 < 2^63, which every prefix of fewer than
+    2^23 elements meets under the field-order cap.
+
+    Operation count per step: 2L for the discrepancy, and on a nonzero
+    discrepancy 2 for the division (counted by the FieldElement operators)
+    and 2 len(b) for the update, reported in one tally at the end.
     """
     items = list(prefix)
     if not items:
@@ -51,102 +64,35 @@ def berlekamp_massey(prefix: Sequence[FieldElement], spec: FieldSpec) -> LinComp
     first = items[0]
     if first.spec is not spec and first.spec != spec:
         raise ValueError("prefix elements must belong to the given field")
-    if spec.m == 1:
-        residues = np.array([e.coeffs[0] for e in items], dtype=np.int64)
-        length, ints = _bm_prime(residues, spec.p)
-        coeffs = [spec.scalar(v) for v in ints]
-    else:
-        length, coeffs = _bm_generic(items, spec)
-    return LinCompResult(length, Poly(spec, coeffs), "bm")
-
-
-def _bm_generic(s: list[FieldElement], spec: FieldSpec) -> tuple[int, list[FieldElement]]:
-    """Element-wise discrepancy iteration; works for any GF(p^m).
-
-    Operation accounting per step n: L multiplications + L additions for the
-    discrepancy, and on a nonzero discrepancy 2 operations for the update
-    scale d/b plus len_b multiplications and subtractions for the polynomial
-    update. The prime-field fast path mirrors this exactly.
-    """
-    total = len(s)
-    zero, one = spec.zero(), spec.one()
-    c_arr = [zero] * (total + 1)
-    c_arr[0] = one
-    b_arr: list[FieldElement] = [one]
-    len_b = 1
+    total, m, p = len(items), spec.m, spec.p
+    mats = mul_matrices(spec, to_array(spec, items)[::-1]).reshape(total * m, m)
+    c = np.zeros((total + 1, m), dtype=np.int64)
+    c[0, 0] = 1
+    taps = c.reshape(-1)
+    b = c[:1].copy()
     length = 0
     shift = 1
-    last_disc = one
+    last = spec.one()
+    ops = 0
     for n in range(total):
-        d = s[n]
-        for i in range(1, length + 1):
-            d = d + c_arr[i] * s[n - i]
+        lo, width = (total - 1 - n) * m, (length + 1) * m
+        acc = taps[:width] @ mats[lo : lo + width]
+        ops += 2 * length
+        d = FieldElement(spec, tuple(v % p for v in acc.tolist()))
         if d.is_zero():
             shift += 1
             continue
-        f = d * last_disc.inv()
+        update = scale_array(spec, d / last, b)
+        ops += 2 * len(b)
+        window = c[shift : shift + len(b)]
         if 2 * length <= n:
-            old = c_arr[: length + 1]
-            for i in range(len_b):
-                c_arr[shift + i] = c_arr[shift + i] - f * b_arr[i]
-            length = n + 1 - length
-            b_arr = old
-            len_b = len(old)
-            last_disc = d
-            shift = 1
+            b, length, last, shift = c[: length + 1].copy(), n + 1 - length, d, 1
         else:
-            for i in range(len_b):
-                c_arr[shift + i] = c_arr[shift + i] - f * b_arr[i]
             shift += 1
-    return length, c_arr[: length + 1]
-
-
-def _bm_prime(s: np.ndarray, p: int) -> tuple[int, list[int]]:
-    """Prime-field specialization on integer residues.
-
-    Identical iteration and identical operation accounting as _bm_generic
-    (counts are reported in bulk via tally); only the inner arithmetic is
-    vectorized.
-    """
-    total = len(s)
-    c_arr = np.zeros(total + 1, dtype=np.int64)
-    c_arr[0] = 1
-    b_arr = np.zeros(total + 1, dtype=np.int64)
-    b_arr[0] = 1
-    len_b = 1
-    length = 0
-    shift = 1
-    last_disc = 1
-    for n in range(total):
-        if length:
-            window = s[n - 1 :: -1][:length]
-            d = (int(s[n]) + int(c_arr[1 : length + 1] @ window)) % p
-        else:
-            d = int(s[n]) % p
-        tally(2 * length)
-        if d == 0:
-            shift += 1
-            continue
-        f = (d * pow(last_disc, -1, p)) % p
-        tally(2)
-        if 2 * length <= n:
-            old = c_arr[: length + 1].copy()
-            c_arr[shift : shift + len_b] = (
-                c_arr[shift : shift + len_b] - f * b_arr[:len_b]
-            ) % p
-            tally(2 * len_b)
-            length = n + 1 - length
-            b_arr = old
-            len_b = len(old)
-            last_disc = d
-            shift = 1
-        else:
-            c_arr[shift : shift + len_b] = (
-                c_arr[shift : shift + len_b] - f * b_arr[:len_b]
-            ) % p
-            tally(2 * len_b)
-            shift += 1
-    return length, [int(v) for v in c_arr[: length + 1]]
+        window -= update
+        window %= p
+    tally(ops)
+    return LinCompResult(length, Poly(spec, from_array(spec, c[: length + 1])), "bm")
 
 
 # ---------------------------------------------------------------------------

@@ -5,20 +5,23 @@ verifies the result against the gcd oracle, and emits a text or JSON report.
 Bench mode runs the cost harness from a JSON config.
 
 Sequence file format (UTF-8 text): the first non-comment line is a header
-``p=<int> m=<int> [mod=<c0,c1,...,cm>]``; the remaining whitespace-separated
-tokens are elements. An element is a single integer in [0, p) when m = 1,
-otherwise m comma-separated integers (low-degree coordinate first). A ``#``
-starts a comment to the end of the line.
+``p=<int> m=<int> [mod=<c0,c1,...,cm>]``, each key at most once; the
+remaining whitespace-separated tokens are elements. An element is a single
+integer in [0, p) when m = 1, otherwise m comma-separated integers
+(low-degree coordinate first). A ``#`` starts a comment to the end of the
+line.
 
 Exit codes: 0 ok (and verified when requested), 1 verification mismatch,
-2 usage or parse error, 3 selected algorithm not applicable to the input.
+2 usage or parse error, 3 selected algorithm not applicable to the input,
+141 standard output closed before the report was written (the shell's
+code for SIGPIPE; the rest of the output is dropped).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
+import os
 import sys
 import time
 from pathlib import Path
@@ -34,6 +37,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INAPPLICABLE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class SequenceFileError(ValueError):
@@ -61,16 +65,21 @@ class ElementOutOfRangeError(SequenceFileError):
 
 
 def parse_field_header(text: str, line_no: int = 1) -> FieldSpec:
-    """Parse ``p=<int> m=<int> [mod=<c0,...,cm>]`` into a field."""
+    """Parse ``p=<int> m=<int> [mod=<c0,...,cm>]`` into a field; a repeated
+    key is a BadHeaderError."""
     p = m = None
     modulus = None
     tokens = text.split()
     if not tokens:
         raise BadHeaderError(line_no, "empty header")
+    seen = set()
     for tok in tokens:
         key, sep, value = tok.partition("=")
         if not sep:
             raise BadHeaderError(line_no, f"expected key=value, got {tok!r}")
+        if key in seen:
+            raise BadHeaderError(line_no, f"header key {key!r} given twice")
+        seen.add(key)
         try:
             if key == "p":
                 p = int(value)
@@ -138,11 +147,7 @@ def parse_sequence_file(source) -> PeriodicSequence:
 
 
 # ---------------------------------------------------------------------------
-# polynomial rendering (the CLI's textual format; round-trips exactly)
-
-_TERM_RE = re.compile(
-    r"^(?P<coeff>\((?:-?\d+)(?:,-?\d+)*\)|-?\d+)(?:\*x(?:\^(?P<exp>\d+))?)?$"
-)
+# polynomial rendering (the CLI's textual format)
 
 
 def render_element(e: FieldElement) -> str:
@@ -167,39 +172,6 @@ def render_poly(f: Poly) -> str:
         else:
             terms.append(f"{base}*x^{i}")
     return " + ".join(terms)
-
-
-def parse_poly(spec: FieldSpec, text: str) -> Poly:
-    """Inverse of render_poly for the given field."""
-    text = text.strip()
-    if text == "0":
-        return Poly.zero(spec)
-    coeffs: dict[int, FieldElement] = {}
-    for term in text.split("+"):
-        term = term.strip()
-        match = _TERM_RE.match(term)
-        if not match:
-            raise ValueError(f"bad polynomial term {term!r}")
-        coeff_text = match.group("coeff")
-        if coeff_text.startswith("("):
-            coords = [int(v) for v in coeff_text[1:-1].split(",")]
-            elem = spec.element(coords)
-        else:
-            elem = spec.scalar(int(coeff_text))
-        if match.group("exp") is not None:
-            exp = int(match.group("exp"))
-        elif term.endswith("x"):
-            exp = 1
-        else:
-            exp = 0
-        if exp in coeffs:
-            raise ValueError(f"duplicate exponent {exp} in {text!r}")
-        coeffs[exp] = elem
-    top = max(coeffs)
-    out = [spec.zero()] * (top + 1)
-    for exp, elem in coeffs.items():
-        out[exp] = elem
-    return Poly(spec, out)
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +387,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if args.bench:
-        return _run_bench(args)
-    if not args.input:
+    if not args.bench and not args.input:
         parser.print_usage(sys.stderr)
         print("error: --input (or --bench) is required", file=sys.stderr)
         return EXIT_USAGE
-    return _run_solve(args)
+    try:
+        code = _run_bench(args) if args.bench else _run_solve(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered, and the flush at
+        # exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

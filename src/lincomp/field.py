@@ -11,9 +11,10 @@ Every add/sub/mul/inv on FieldElement values reports exactly one operation
 to the active OpCounter; pow reports one per multiplication it performs.
 Constructing elements and comparing them is free.
 
-The array helpers at the end (to_array, from_array, mul_array) hold many
-elements as one (N, m) int64 coordinate array for the vectorized kernels.
-They count nothing: each kernel reports its operations in bulk.
+The array helpers at the end (to_array, from_array, mul_array, mul_matrices,
+scale_array) hold many elements as one (N, m) int64 coordinate array for the
+vectorized kernels. They count nothing: each kernel reports its operations
+in bulk.
 """
 
 from __future__ import annotations
@@ -221,13 +222,20 @@ def _zp_is_irreducible(poly: Sequence[int], p: int) -> bool:
 
 
 def _check_order(p: int, m: int) -> None:
-    """Validate the characteristic, the extension degree and the order cap."""
+    """Validate the characteristic, the extension degree and the order cap.
+
+    p and m are held to the cap on their own first (p^m >= 2^m for every
+    prime p), so neither the trial division nor p ** m runs on a huge value.
+    """
+    cap = f"exceeds the desk-scale cap {MAX_FIELD_ORDER}"
+    if isinstance(p, int) and p > MAX_FIELD_ORDER:
+        raise FieldError(f"characteristic {p} {cap}")
     if not isinstance(p, int) or not _is_prime(p):
         raise NonPrimeError(f"characteristic {p!r} is not prime")
     if not isinstance(m, int) or m < 1:
         raise DegreeMismatchError(f"extension degree must be >= 1, got {m!r}")
-    if p ** m > MAX_FIELD_ORDER:
-        raise FieldError(f"field order {p}^{m} exceeds the desk-scale cap {MAX_FIELD_ORDER}")
+    if m >= MAX_FIELD_ORDER.bit_length() or p ** m > MAX_FIELD_ORDER:
+        raise FieldError(f"field order {p}^{m} {cap}")
 
 
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
@@ -568,3 +576,21 @@ def mul_array(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     conv = a[..., :, None] * b[..., None, :]
     conv = conv.reshape(conv.shape[:-2] + (spec.m * spec.m,))
     return conv @ _product_matrix(spec) % spec.p
+
+
+def mul_matrices(spec: FieldSpec, a: np.ndarray) -> np.ndarray:
+    """The (..., m, m) matrices of multiplication by each element of an
+    (..., m) coordinate array: row i of a matrix holds t^i times its element,
+    so x @ mul_matrices(spec, a)[k] is the unreduced product x * a_k."""
+    m = spec.m
+    table = _product_matrix(spec).reshape(m, m * m)
+    return (a @ table % spec.p).reshape(a.shape[:-1] + (m, m))
+
+
+def scale_array(spec: FieldSpec, f: FieldElement, a: np.ndarray) -> np.ndarray:
+    """f times every element of a reduced (..., m) coordinate array, left
+    unreduced (entries below m p^2) so that the caller reduces mod p once,
+    after its own additions. Over GF(p) this is a plain broadcast multiply."""
+    if spec.m == 1:
+        return a * f.coeffs[0]
+    return a @ mul_matrices(spec, np.array(f.coeffs, dtype=np.int64))

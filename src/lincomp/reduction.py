@@ -353,31 +353,3 @@ def solve(
         asm.total,
     )
 
-
-def reduce_antisymmetric(s: PeriodicSequence) -> tuple[PeriodicSequence, FieldElement]:
-    """Halve a period-2n sequence whose second half negates its first.
-
-    Requires odd characteristic and gcd(n, p^m - 1) = 1. Returns (s2, b)
-    where s2_i = 2 a_i b^i and b is the unique n-th root of -1; the original
-    sequence has the same complexity as s2, and its connection polynomial is
-    the s2 polynomial with argument scaled by b.
-    """
-    spec = s.spec
-    if spec.p == 2:
-        raise ValueError("requires odd characteristic")
-    N = len(s)
-    if N % 2 != 0:
-        raise ValueError("period must be even")
-    n = N // 2
-    for i in range(n):
-        if s.period[n + i] != -s.period[i]:
-            raise ValueError("second half must be the negation of the first")
-    b = nth_root_coprime(spec, spec.scalar(-1), n)
-    two = spec.scalar(2)
-    out = []
-    bp = spec.one()
-    for i in range(n):
-        if i:
-            bp = bp * b
-        out.append(two * s.period[i] * bp)
-    return PeriodicSequence(spec, tuple(out)), b

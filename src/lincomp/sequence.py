@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import FieldElement, FieldSpec, mul_array, to_array
+from .field import FieldElement, FieldSpec, scale_array, to_array
 from .opcount import tally
 from .poly import Poly, one_minus_x_pow, poly_gcd_normalized
 
@@ -105,10 +105,11 @@ def verify_recurrence(s: PeriodicSequence, m: Poly) -> bool:
     every i in [0, N): indices are taken mod N, so i and i + N give the same
     equation, and one period covers every wraparound alignment. All N
     residuals are computed at once on the (N, m) coordinate array, one
-    rotated copy of the period per nonzero tap. The count is that of
-    checking the equations in order up to the first one that fails: one
-    multiplication and one addition per nonzero tap c_t for each equation
-    checked. k = 0 accepts only the all-zero sequence.
+    rotated copy of the period per nonzero tap, reduced once at the end
+    (exact while N m p^2 < 2^63). The count is that of checking the
+    equations in order up to the first one that fails: one multiplication
+    and one addition per nonzero tap c_t for each equation checked. k = 0
+    accepts only the all-zero sequence.
     """
     if m.constant_term() != s.spec.one():
         raise BadConnectionPolyError("connection polynomial must have constant term 1")
@@ -121,8 +122,8 @@ def verify_recurrence(s: PeriodicSequence, m: Poly) -> bool:
     vals = to_array(spec, s.period)
     # row i of np.roll(vals, t - k) is a_{i+k-t}
     resid = np.roll(vals, -k, axis=0)
-    for t, c in zip(taps, to_array(spec, [m.coeffs[t] for t in taps])):
-        resid += mul_array(spec, np.roll(vals, t - k, axis=0), c)
+    for t in taps:
+        resid += scale_array(spec, m.coeffs[t], np.roll(vals, t - k, axis=0))
     failing = np.flatnonzero((resid % spec.p).any(axis=1))
     checked = int(failing[0]) + 1 if len(failing) else n
     tally(2 * len(taps) * checked)

@@ -4,6 +4,7 @@ brute-force reference computations."""
 from __future__ import annotations
 
 import random
+import re
 from itertools import product
 
 from lincomp.bench import random_sequence
@@ -51,9 +52,11 @@ __all__ = [
     "FIELD_MATRIX",
     "all_elements",
     "all_sequences",
+    "bm_reference",
     "brute_force_order",
     "decompose_reference",
     "ggc_fold_reference",
+    "parse_poly",
     "poly_pow_reference",
     "random_sequence",
     "rng",
@@ -168,3 +171,83 @@ def verify_recurrence_reference(s: PeriodicSequence, m: Poly) -> bool:
         if not acc.is_zero():
             return False
     return True
+
+
+def bm_reference(s: list[FieldElement], spec: FieldSpec) -> tuple[int, list[FieldElement]]:
+    """Berlekamp-Massey one FieldElement at a time, for any GF(p^m); returns
+    the length and the connection coefficients c_0 = 1, ..., c_L.
+
+    Every operation is counted by the FieldElement operators: per step n, L
+    multiplications and L additions for the discrepancy, and on a nonzero
+    discrepancy 2 for the scale d/b plus len_b multiplications and
+    subtractions for the polynomial update.
+    """
+    total = len(s)
+    zero, one = spec.zero(), spec.one()
+    c_arr = [zero] * (total + 1)
+    c_arr[0] = one
+    b_arr: list[FieldElement] = [one]
+    len_b = 1
+    length = 0
+    shift = 1
+    last_disc = one
+    for n in range(total):
+        d = s[n]
+        for i in range(1, length + 1):
+            d = d + c_arr[i] * s[n - i]
+        if d.is_zero():
+            shift += 1
+            continue
+        f = d * last_disc.inv()
+        if 2 * length <= n:
+            old = c_arr[: length + 1]
+            for i in range(len_b):
+                c_arr[shift + i] = c_arr[shift + i] - f * b_arr[i]
+            length = n + 1 - length
+            b_arr = old
+            len_b = len(old)
+            last_disc = d
+            shift = 1
+        else:
+            for i in range(len_b):
+                c_arr[shift + i] = c_arr[shift + i] - f * b_arr[i]
+            shift += 1
+    return length, c_arr[: length + 1]
+
+
+_TERM_RE = re.compile(
+    r"^(?P<coeff>\((?:-?\d+)(?:,-?\d+)*\)|-?\d+)(?:\*x(?:\^(?P<exp>\d+))?)?$"
+)
+
+
+def parse_poly(spec: FieldSpec, text: str) -> Poly:
+    """Inverse of lincomp.cli.render_poly for the given field."""
+    text = text.strip()
+    if text == "0":
+        return Poly.zero(spec)
+    coeffs: dict[int, FieldElement] = {}
+    for term in text.split("+"):
+        term = term.strip()
+        match = _TERM_RE.match(term)
+        if not match:
+            raise ValueError(f"bad polynomial term {term!r}")
+        coeff_text = match.group("coeff")
+        if coeff_text.startswith("("):
+            coords = [int(v) for v in coeff_text[1:-1].split(",")]
+            elem = spec.element(coords)
+        else:
+            elem = spec.scalar(int(coeff_text))
+        if match.group("exp") is not None:
+            exp = int(match.group("exp"))
+        elif term.endswith("x"):
+            exp = 1
+        else:
+            exp = 0
+        if exp in coeffs:
+            raise ValueError(f"duplicate exponent {exp} in {text!r}")
+        coeffs[exp] = elem
+    top = max(coeffs)
+    out = [spec.zero()] * (top + 1)
+    for exp, elem in coeffs.items():
+        out[exp] = elem
+    return Poly(spec, out)

@@ -16,7 +16,7 @@ from lincomp.poly import Poly, poly_pow, scale_argument
 from lincomp.reduction import (
     ReductionPlan,
     decompose,
-    reduce_antisymmetric,
+    plan_reduction,
     solve,
 )
 from lincomp.sequence import (
@@ -179,7 +179,11 @@ def test_criterion_4_antisymmetric_halving():
         for _ in range(25):
             half = [spec.scalar(r.randrange(spec.p)) for _ in range(n)]
             s = PeriodicSequence(spec, tuple(half + [-v for v in half]))
-            s2, b = reduce_antisymmetric(s)
+            # the u = 2 split: component 0 vanishes, component 1 is the half
+            plan = plan_reduction(spec, 2 * n)
+            zero, s2 = decompose(s, plan)
+            b = plan.roots_b[1]
+            assert zero.is_zero()
             assert b ** n == spec.scalar(-1)
             direct = oracle_lincomp(s)
             halved = oracle_lincomp(s2)

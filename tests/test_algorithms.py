@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from helpers import (
@@ -8,7 +7,9 @@ from helpers import (
     GF7,
     GF9,
     GF13,
+    FIELD_MATRIX,
     all_sequences,
+    bm_reference,
     ggc_fold_reference,
     random_sequence,
     rng,
@@ -18,8 +19,6 @@ from lincomp.algorithms import (
     BadLengthError,
     EmptyPrefixError,
     NotPrimePowerPeriodError,
-    _bm_generic,
-    _bm_prime,
     berlekamp_massey,
     ggc_complexity,
     ggc_fold,
@@ -101,21 +100,29 @@ class TestBerlekampMassey:
         assert res.complexity == 0
         assert res.min_poly == Poly.one(GF7)
 
-    def test_prime_and_generic_paths_agree(self):
-        # identical results and identical operation counts
-        r = rng("bm-parity")
-        for n in [1, 2, 7, 16, 31]:
-            for _ in range(5):
-                s = random_sequence(GF7, n, r)
-                prefix = list(s.period) * 2
-                with OpCounter() as c_gen:
-                    l_gen, coeffs_gen = _bm_generic(prefix, GF7)
-                residues = np.array([e.coeffs[0] for e in prefix], dtype=np.int64)
-                with OpCounter() as c_fast:
-                    l_fast, ints_fast = _bm_prime(residues, 7)
-                assert l_gen == l_fast
-                assert [e.coeffs[0] for e in coeffs_gen] == ints_fast
-                assert c_gen.total == c_fast.total
+    def test_matches_reference(self):
+        # the array kernel against the element-wise loop: same length, same
+        # polynomial and the same operation count, on every field of the
+        # matrix (GF(1048573) is the int64 overflow guard)
+        r = rng("bm-reference")
+        for spec in FIELD_MATRIX:
+            for n in [1, 2, 5, 16, 33]:
+                inputs = {
+                    "random": random_sequence(spec, n, r).period,
+                    "random2": random_sequence(spec, n, r).period,
+                    "zero": (spec.zero(),) * n,
+                    "constant": (spec.element([1] * spec.m),) * n,
+                }
+                for kind, period in inputs.items():
+                    prefix = list(period) * 2
+                    with OpCounter() as c_ref:
+                        length, coeffs = bm_reference(prefix, spec)
+                    with OpCounter() as c_bm:
+                        res = berlekamp_massey(prefix, spec)
+                    case = (spec, n, kind)
+                    assert res.complexity == length, case
+                    assert res.min_poly == Poly(spec, coeffs), case
+                    assert c_bm.total == c_ref.total, case
 
 
 class TestGgcFold:

@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lincomp.cli
-from helpers import GF7, GF9, all_elements
+from helpers import GF7, GF9, all_elements, parse_poly
 from lincomp.cli import (
     BadHeaderError,
     ElementOutOfRangeError,
     SequenceSyntaxError,
     main,
     parse_field_header,
-    parse_poly,
     parse_sequence_file,
     render_poly,
 )
@@ -93,6 +92,16 @@ class TestParseSequenceFile:
 
     def test_prime_field_modulus_normalized(self):
         assert parse_field_header("p=7 m=1 mod=1,1") == make_field(7)
+
+    @pytest.mark.parametrize(
+        "header", ["p=7 m=1 p=5", "p=3 m=2 m=1", "p=3 m=2 mod=1,0,1 mod=2,2,1"]
+    )
+    def test_repeated_key_rejected(self, tmp_path, capsys, header):
+        with pytest.raises(BadHeaderError, match="twice"):
+            parse_field_header(header)
+        path = write_seq(tmp_path, "s.seq", f"{header}\n1 2 3\n")
+        assert main(["--input", path]) == 2
+        assert "twice" in capsys.readouterr().err
 
 
 class TestPolyRendering:
@@ -189,6 +198,26 @@ class TestSolveCommand:
         assert code == 2
         assert err.startswith("error:") and "not UTF-8" in err
         assert "Traceback" not in err
+
+    def test_closed_stdout_exits_141(self):
+        # the read end is closed before the child starts, so its report
+        # cannot be written
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lincomp", "--input", "-"],
+                input=N21_TEXT.encode(), stdout=write_end, stderr=subprocess.PIPE,
+                env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
     def test_missing_input_exit_code(self, capsys):
         assert main([]) == 2

@@ -68,6 +68,11 @@ class TestMakeField:
     def test_desk_scale_cap(self):
         with pytest.raises(FieldError):
             make_field(2, 21)
+        # rejected before the trial division and before computing p ** m
+        with pytest.raises(FieldError):
+            make_field(2305843009213693951, 1)
+        with pytest.raises(FieldError):
+            make_field(2, 99999999999)
 
     def test_prime_field_modulus_normalized(self):
         # any valid linear modulus gives the same GF(p) as the placeholder

@@ -33,7 +33,6 @@ from lincomp.reduction import (
     compose,
     decompose,
     plan_reduction,
-    reduce_antisymmetric,
     solve,
 )
 from lincomp.sequence import PeriodicSequence, oracle_lincomp, verify_recurrence
@@ -393,26 +392,23 @@ class TestSolve:
 
 class TestAntisymmetric:
     def test_shortcut_matches_oracle(self):
+        # a period-2n sequence whose second half negates its first halves by
+        # the u = 2 split, with b the n-th root of -1
         for spec, n in [(GF7, 5), (GF7, 7), (GF13, 7), (GF13, 5)]:
             r = rng(f"antisym-{spec.p}-{n}")
             for _ in range(10):
                 half = [spec.scalar(r.randrange(spec.p)) for _ in range(n)]
                 full = half + [-v for v in half]
                 s = PeriodicSequence(spec, tuple(full))
-                s2, b = reduce_antisymmetric(s)
+                plan = plan_reduction(spec, 2 * n)
+                zero, s2 = decompose(s, plan)
+                b = plan.roots_b[1]
+                assert zero.is_zero()
                 assert b ** n == spec.scalar(-1)
                 direct = oracle_lincomp(s)
                 halved = oracle_lincomp(s2)
                 assert direct.complexity == halved.complexity
                 assert direct.min_poly == scale_argument(halved.min_poly, b)
-
-    def test_rejects_non_antisymmetric(self):
-        with pytest.raises(ValueError):
-            reduce_antisymmetric(seq(GF7, [1, 2, 3, 4]))
-
-    def test_rejects_odd_period(self):
-        with pytest.raises(ValueError):
-            reduce_antisymmetric(seq(GF7, [1, 2, 6]))
 
 
 class TestAssemblyCost:
